@@ -18,7 +18,7 @@ estimate-key constructors) twice against the same journal:
 Floors this PR is built to clear: warm replay >= 5x faster than cold
 pricing, zero recomputation on the warm run, and bit-exact prices
 between the two runs.  The run also writes a JSON artifact
-(``CACHE_BENCH_JSON``, default ``cache_persistence.json``) whose
+(``CACHE_BENCH_JSON``, default ``.bench_artifacts/cache_persistence.json``) whose
 deterministic counters CI gates at 0% drift against the committed
 baseline (``benchmarks/baselines/cache_persistence.json``) and across a
 second in-job run.

@@ -3,7 +3,7 @@
 Two chaos scenarios over the deterministic fault layer
 (:mod:`repro.serve.faults`), both asserting the robustness floors this PR
 is built to clear and writing a JSON artifact (``SERVE_FAULTS_JSON``,
-default ``serve_faults.json``) that CI uploads:
+default ``.bench_artifacts/serve_faults.json``) that CI uploads:
 
 * **Scenario A — permanent worker death.**  The heterogeneous 4-worker
   fleet from the streaming benchmark loses one of its fast 32x32 workers

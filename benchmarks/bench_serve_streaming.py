@@ -1,17 +1,18 @@
-"""Streaming online serving — submit()/drain() vs one-shot, heterogeneous fleets.
+"""Online serving — serve() vs hand-driven submit()/drain(), heterogeneous fleets.
 
 Replays a Table 3 trace (4 tenants, Poisson arrivals at 8x one worker's
 capacity, dimensions capped at 128) through four dispatch strategies:
 
 * **naive serial** — one worker, no batching, strict arrival order (the
-  reference the serving layer has been benchmarked against since PR 3);
-* **one-shot** — the whole trace handed to ``serve()`` on a heterogeneous
-  4-worker fleet (two 32x32 arrays + two 2x2 grids of 16x16 arrays) with
-  priced placement;
-* **streaming** — the same trace fed job-by-job through ``submit()`` and
-  closed with ``drain()``: the online path must sustain throughput no
-  worse than one-shot (the schedules are bit-identical by construction,
-  and this pins it);
+  reference the serving layer has been benchmarked against since it was
+  introduced);
+* **one-shot** — the whole trace handed to ``serve()`` (sorted submit +
+  drain) on a heterogeneous 4-worker fleet (two 32x32 arrays + two 2x2
+  grids of 16x16 arrays) with priced placement;
+* **streaming** — the same trace fed job-by-job through ``submit()`` by
+  hand and closed with ``drain()``: it must sustain throughput no worse
+  than ``serve()`` (the schedules are bit-identical by construction, and
+  this pins it);
 * **random placement** — the same heterogeneous fleet with batches
   assigned to uniformly random workers: the baseline the priced
   (estimate-cache) placement must beat.
@@ -21,7 +22,7 @@ jobs/sec on the heterogeneous fleet, streaming >= one-shot, priced
 placement > random placement, every completed JobResult bit-exact against
 a direct ``run_gemm`` on the worker class that hosted it.  The run also
 writes a JSON artifact (``STREAM_BENCH_JSON``, default
-``serve_streaming.json``) that CI uploads.
+``.bench_artifacts/serve_streaming.json``) that CI uploads.
 
 Run explicitly (tier 2)::
 

@@ -15,7 +15,7 @@ scheduler must sustain **>= 3x** the simulated jobs/sec of serial dispatch,
 with every JobResult bit-exact against a direct ``run_gemm`` call and no
 tenant starved (max/min completed-job ratio <= 2 under equal offered
 load).  The run also writes a JSON artifact (``SERVE_BENCH_JSON``, default
-``serve_throughput.json``) that CI uploads.
+``.bench_artifacts/serve_throughput.json``) that CI uploads.
 
 Run explicitly (tier 2)::
 

@@ -36,19 +36,32 @@ def emit(title: str, body: str) -> None:
     print(body)
 
 
+#: Git-ignored directory local bench runs write their artifacts into.
+ARTIFACT_DIR = ".bench_artifacts"
+
+
+def artifact_path(env_var: str, filename: str) -> str:
+    """Where a bench artifact goes: ``$env_var`` if set (the CI hook),
+    else ``filename`` inside :data:`ARTIFACT_DIR`."""
+    return os.environ.get(env_var) or os.path.join(ARTIFACT_DIR, filename)
+
+
 def write_artifact(
     bench: str,
     env_var: str,
-    default_path: str,
+    filename: str,
     config: dict,
     payload: dict,
 ) -> str:
     """Write one schema-v1 benchmark artifact and return its path.
 
-    ``env_var`` overrides the destination (the CI hook); the payload's
-    numeric leaves become the artifact's flat ``metrics`` section.
+    The destination is :func:`artifact_path`; the payload's numeric leaves
+    become the artifact's flat ``metrics`` section.
     """
-    path = os.environ.get(env_var, default_path)
+    path = artifact_path(env_var, filename)
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
     with open(path, "w") as handle:
         json.dump(bench_artifact(bench, config, payload), handle, indent=2)
         handle.write("\n")

@@ -29,7 +29,7 @@ class LintConfig:
     """
 
     #: Subtrees where wall-clock time and unseeded RNGs are forbidden
-    #: (the simulated clock is load-bearing for bit-identical streaming).
+    #: (the simulated clock is load-bearing for bit-identical schedules).
     clock_pure_paths: tuple[str, ...] = ("src/repro/serve/", "src/repro/engine/")
     #: Wall-clock callables that stay legal inside the pure paths.
     clock_allowed: tuple[str, ...] = ("time.perf_counter",)

@@ -2,10 +2,12 @@
 
 Invariant: inside ``src/repro/serve/`` and ``src/repro/engine/`` the only
 clock is the simulated cycle clock and the only randomness is a seeded
-generator.  Streaming serving is specified to be *bit-identical* to
-one-shot serving; a single ``time.time()`` in a planning decision or an
-unseeded RNG in a probe breaks that silently, and no unit test can pin it
-because the failure is non-deterministic by construction.
+generator.  A serving run is specified to be a pure function of its jobs,
+fleet and policies — ``serve()`` on any order of the same trace, and any
+two same-seed runs, produce *bit-identical* schedules and traces; a single
+``time.time()`` in a planning decision or an unseeded RNG in a probe
+breaks that silently, and no unit test can pin it because the failure is
+non-deterministic by construction.
 
 Flagged: ``time.time`` / ``time.monotonic`` (and their ``_ns`` twins),
 ``datetime.now`` / ``utcnow`` / ``today``, any module-level function of
@@ -64,7 +66,7 @@ class ClockPurityRule(Rule):
     )
     description = (
         "no wall-clock reads or unseeded RNGs in src/repro/serve/ and "
-        "src/repro/engine/ (bit-identical streaming depends on the "
+        "src/repro/engine/ (bit-identical schedules depend on the "
         "simulated clock)"
     )
 

@@ -23,15 +23,15 @@ grown online and heterogeneous — with five separable pieces:
     and :func:`build_fleet` — fleets may be heterogeneous (mixed array
     geometries, architectures and scale-out grids).
 :mod:`repro.serve.scheduler`
-    :class:`AsyncGemmScheduler` — the simulated-clock dispatcher.  Jobs
-    are served either one-shot (:meth:`~AsyncGemmScheduler.serve` a whole
-    trace) or **streamed online**
-    (:meth:`~AsyncGemmScheduler.submit` jobs one at a time as they arrive,
-    then :meth:`~AsyncGemmScheduler.drain`): arrivals are admitted, queued
-    and dispatched as the simulated clock reaches them, batching windows
-    close on a cycle deadline, and on heterogeneous fleets each batch is
-    placed on the worker class that finishes it soonest, priced through
-    the estimate cache.
+    :class:`AsyncGemmScheduler` — the simulated-clock dispatcher.  There is
+    one serving path, the online stream:
+    :meth:`~AsyncGemmScheduler.submit` jobs one at a time as they arrive,
+    then :meth:`~AsyncGemmScheduler.drain`; :meth:`~AsyncGemmScheduler.serve`
+    does exactly that for a whole trace, in arrival order.  Arrivals are
+    admitted, queued and dispatched as the simulated clock reaches them,
+    batching windows close on a cycle deadline, and on heterogeneous fleets
+    each batch is placed on the worker class that finishes it soonest,
+    priced through the estimate cache.
 :mod:`repro.serve.report`
     :class:`ServeReport` — per-tenant p50/p95 latency and throughput,
     worker and worker-class utilization, batching, fleet description and
@@ -70,9 +70,9 @@ against a direct ``run_gemm`` call:
 >>> all(r.result.cycles == direct.cycles for r in results)
 True
 
-The same trace streams online — ``submit()`` one job at a time (in
-arrival order) and ``drain()``; the schedule and every result are
-bit-identical to the one-shot call:
+``serve()`` is ``submit()`` of each job in arrival order, then
+``drain()`` — so doing that by hand gives a bit-identical schedule and
+every result:
 
 >>> streaming = AsyncGemmScheduler(fleet, max_batch=2)
 >>> for job in jobs:

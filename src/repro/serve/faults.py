@@ -305,8 +305,7 @@ class FaultInjector:
 
     All queries are pure functions of ``(plan, worker, cycle)`` — the
     injector keeps no mutable state, so the planner's determinism (one
-    schedule per trace/fleet/plan triple) extends to faulty runs, and
-    streamed vs one-shot serving stay bit-identical under faults.
+    schedule per trace/fleet/plan triple) extends to faulty runs.
 
     >>> plan = parse_fault_spec("0:transient@100+50")
     >>> injector = FaultInjector(plan, fleet_size=2)

@@ -45,7 +45,7 @@ def traced_serve():
     """Run ``jobs`` through a traced scheduler from a cold estimate cache.
 
     Returns ``(tracer, report, results)``; ``streaming=True`` feeds the
-    trace through ``submit()``/``drain()`` instead of one-shot ``serve()``.
+    trace through ``submit()``/``drain()`` by hand instead of ``serve()``.
     """
 
     def run(jobs, *, streaming: bool = False):

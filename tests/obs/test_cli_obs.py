@@ -32,13 +32,12 @@ class TestServeTrace:
         assert first.read_bytes() == second.read_bytes()
         assert first.stat().st_size > 0
 
-    def test_streaming_trace_matches_oneshot_trace(self, tmp_path, capsys):
-        oneshot = tmp_path / "oneshot.json"
-        streaming = tmp_path / "streaming.json"
-        assert _serve_trace(oneshot) == 0
-        assert _serve_trace(streaming, "--streaming") == 0
-        capsys.readouterr()
-        assert oneshot.read_bytes() == streaming.read_bytes()
+    def test_streaming_flag_is_gone(self, tmp_path, capsys):
+        # serve() is the one serving path, so there is nothing to select.
+        with pytest.raises(SystemExit) as exit_info:
+            _serve_trace(tmp_path / "trace.json", "--streaming")
+        assert exit_info.value.code == 2
+        assert "--streaming" in capsys.readouterr().err
 
     def test_report_mentions_trace_destination(self, tmp_path, capsys):
         path = tmp_path / "trace.json"

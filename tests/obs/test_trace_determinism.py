@@ -1,7 +1,8 @@
 """Trace determinism — the acceptance criteria of the observability layer.
 
-Same seed, same trace: byte-identical Chrome exports; the streaming path
-replays the one-shot schedule event for event; and every number derived
+Same seed, same trace: byte-identical Chrome exports; a hand-driven
+``submit()``/``drain()`` stream replays ``serve()`` event for event; and
+every number derived
 from a trace (per-tenant p95, cache hit/miss/evict, terminal accounting)
 matches the ``ServeReport`` of the run that produced it exactly.
 """

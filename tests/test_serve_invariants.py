@@ -13,11 +13,11 @@ hold for *every* configuration:
 3. **No late completions under enforcement** — with
    ``enforce_deadlines=True`` a hinted job either completes inside its
    deadline or expires; it never completes late.
-4. **Streaming == one-shot** — ``submit()``/``drain()`` reproduces
-   ``serve()`` result-for-result, report-for-report and trace
-   event-for-event (estimate-cache events excluded: the cache is process
-   global, so its hit/miss pattern is the one legitimately run-order
-   dependent piece of a trace).
+4. **Order independence and determinism** — a second ``serve()`` of the
+   *reversed* job list reproduces the first run result-for-result,
+   report-for-report and trace event-for-event (estimate-cache events
+   excluded: the cache is process global, so its hit/miss pattern is the
+   one legitimately run-order dependent piece of a trace).
 5. **Preemption budget** — no job is displaced more than
    ``max_preemptions`` times.
 6. **Monotone simulated clock** — per-worker ``batch.execute`` spans
@@ -73,18 +73,12 @@ def seed_log():
         yield log
 
 
-def _run(scenario: ServeScenario, *, streaming: bool):
-    """One traced run from a cold estimate cache."""
+def _run(scenario: ServeScenario, jobs):
+    """One traced ``serve()`` of ``jobs`` from a cold estimate cache."""
     clear_estimate_cache()
     tracer = Tracer()
-    scheduler = scenario.build_scheduler(tracer=tracer)
-    if streaming:
-        for job in scenario.jobs:
-            scheduler.submit(job)
-        report, results = scheduler.drain()
-    else:
-        report, results = scheduler.serve(list(scenario.jobs))
-    return scheduler, tracer, report, results
+    report, results = scenario.build_scheduler(tracer=tracer).serve(jobs)
+    return tracer, report, results
 
 
 def _comparable_report(report) -> dict:
@@ -185,7 +179,7 @@ def test_scheduler_invariants(seed, seed_log):
         scenario = random_scenario(seed, case)
         seed_log(scenario.describe())
 
-        _, tracer, report, results = _run(scenario, streaming=False)
+        tracer, report, results = _run(scenario, list(scenario.jobs))
         _check_one_terminal_status(scenario, results)
         _check_bitexact(scenario, results)
         _check_no_late_completions(scenario, results)
@@ -195,14 +189,14 @@ def test_scheduler_invariants(seed, seed_log):
         observed["failed"] += sum(r.status == "failed" for r in results)
         observed["expired"] += sum(r.status == "expired" for r in results)
 
-        _, stream_tracer, stream_report, streamed = _run(
-            scenario, streaming=True
+        again_tracer, again_report, again = _run(
+            scenario, list(reversed(scenario.jobs))
         )
-        assert [r.to_dict() for r in streamed] == [
+        assert [r.to_dict() for r in again] == [
             r.to_dict() for r in results
-        ], "streaming results diverge from one-shot"
-        assert _comparable_report(stream_report) == _comparable_report(report)
-        assert _comparable_events(stream_tracer) == _comparable_events(tracer)
+        ], "serving the reversed trace changed the results"
+        assert _comparable_report(again_report) == _comparable_report(report)
+        assert _comparable_events(again_tracer) == _comparable_events(tracer)
 
     # Observed-outcome coverage: the seed's draw must actually reach the
     # machinery the invariants guard, else this test proves nothing.

@@ -1,10 +1,10 @@
 """Tests for online serving: ``submit()``/``drain()`` streaming, batching
 windows, and heterogeneous fleets with priced placement.
 
-The headline invariant (ISSUE 5): serving a trace by streaming it job-by-
-job in arrival order is *bit-identical* — schedule, every output matrix,
-every counter, per-tenant fairness — to the one-shot ``serve()`` call,
-because both run the same online planner.  On heterogeneous fleets, every
+The headline invariant: ``serve()`` is submit-in-arrival-order plus
+``drain()``, so serving a *shuffled* trace is bit-identical — schedule,
+every output matrix, every counter, per-tenant fairness — to streaming it
+job-by-job in arrival order by hand.  On heterogeneous fleets, every
 result is bit-exact against a direct run on the worker class that hosted
 it, and the priced placement policy beats random assignment.
 """
@@ -78,52 +78,48 @@ def _assert_equivalent(one_shot, streamed):
 
 
 class TestStreamingEquivalence:
-    def test_submit_in_arrival_order_matches_serve(self, small_array):
+    @pytest.mark.parametrize(
+        "trace_kwargs, heterogeneous, scheduler_kwargs",
+        [
+            pytest.param(
+                dict(tenants=3, jobs_per_tenant=5, offered_load=6.0, seed=7),
+                False, {}, id="plain",
+            ),
+            pytest.param(
+                dict(tenants=2, jobs_per_tenant=6, offered_load=4.0, seed=13),
+                False, dict(batch_window_cycles=512), id="batch-window",
+            ),
+            pytest.param(
+                dict(tenants=3, jobs_per_tenant=4, offered_load=6.0, seed=21),
+                True, {}, id="heterogeneous",
+            ),
+            pytest.param(
+                dict(tenants=2, jobs_per_tenant=4, offered_load=4.0,
+                     conv_fraction=0.5, seed=5),
+                False, {}, id="conv",
+            ),
+        ],
+    )
+    def test_serve_of_shuffled_trace_matches_in_order_stream(
+        self, small_array, paper_array, trace_kwargs, heterogeneous,
+        scheduler_kwargs,
+    ):
         jobs = synthetic_trace(
-            SystolicAccelerator(small_array), tenants=3, jobs_per_tenant=5,
-            offered_load=6.0, max_dim=48, seed=7,
+            SystolicAccelerator(small_array), max_dim=48, **trace_kwargs
         )
-        fleet = _fleet(SystolicAccelerator, small_array, 2)
+        if heterogeneous:
+            fleet = [
+                SystolicAccelerator(small_array),
+                SystolicAccelerator(paper_array),
+            ]
+        else:
+            fleet = _fleet(SystolicAccelerator, small_array, 2)
+        shuffled = list(jobs)
+        np.random.default_rng(0).shuffle(shuffled)
+        assert [job.job_id for job in shuffled] != [job.job_id for job in jobs]
         _assert_equivalent(
-            AsyncGemmScheduler(fleet, max_batch=4).serve(jobs),
-            _stream(AsyncGemmScheduler(fleet, max_batch=4), jobs),
-        )
-
-    def test_equivalence_holds_with_batching_window(self, small_array):
-        jobs = synthetic_trace(
-            SystolicAccelerator(small_array), tenants=2, jobs_per_tenant=6,
-            offered_load=4.0, max_dim=48, seed=13,
-        )
-        fleet = _fleet(SystolicAccelerator, small_array, 2)
-        kwargs = dict(max_batch=4, batch_window_cycles=512)
-        _assert_equivalent(
-            AsyncGemmScheduler(fleet, **kwargs).serve(jobs),
-            _stream(AsyncGemmScheduler(fleet, **kwargs), jobs),
-        )
-
-    def test_equivalence_on_heterogeneous_fleet(self, small_array, paper_array):
-        jobs = synthetic_trace(
-            SystolicAccelerator(small_array), tenants=3, jobs_per_tenant=4,
-            offered_load=6.0, max_dim=48, seed=21,
-        )
-        fleet = [
-            SystolicAccelerator(small_array),
-            SystolicAccelerator(paper_array),
-        ]
-        _assert_equivalent(
-            AsyncGemmScheduler(fleet, max_batch=4).serve(jobs),
-            _stream(AsyncGemmScheduler(fleet, max_batch=4), jobs),
-        )
-
-    def test_equivalence_with_conv_jobs(self, small_array):
-        jobs = synthetic_trace(
-            SystolicAccelerator(small_array), tenants=2, jobs_per_tenant=4,
-            offered_load=4.0, max_dim=48, conv_fraction=0.5, seed=5,
-        )
-        fleet = _fleet(SystolicAccelerator, small_array, 2)
-        _assert_equivalent(
-            AsyncGemmScheduler(fleet, max_batch=4).serve(jobs),
-            _stream(AsyncGemmScheduler(fleet, max_batch=4), jobs),
+            AsyncGemmScheduler(fleet, max_batch=4, **scheduler_kwargs).serve(shuffled),
+            _stream(AsyncGemmScheduler(fleet, max_batch=4, **scheduler_kwargs), jobs),
         )
 
     def test_identical_per_tenant_fairness(self, small_array):
@@ -440,7 +436,7 @@ class TestStreamingWithPersistentStore:
     ):
         jobs = self._trace(small_array)
         # Each run gets a cold memory cache and its own fresh journal, so
-        # the only variable is the serving path (one-shot vs streamed).
+        # the only variable is the caller (serve() vs a hand-driven stream).
         clear_estimate_cache()
         attach_estimate_store(str(tmp_path / "one-shot.journal"))
         one_shot = AsyncGemmScheduler(
