@@ -193,7 +193,8 @@ class RunResult:
         else:
             contiguous = np.ascontiguousarray(self.output, dtype=np.float64)
             payload["output_shape"] = list(contiguous.shape)
-            payload["output_sha256"] = hashlib.sha256(contiguous.tobytes()).hexdigest()
+            # The digest covers the raw C-order float64 bytes, read in place.
+            payload["output_sha256"] = hashlib.sha256(contiguous).hexdigest()
             if include_output:
                 payload["output"] = contiguous.tolist()
         return payload

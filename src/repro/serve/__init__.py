@@ -6,9 +6,11 @@ grown online and heterogeneous — with five separable pieces:
 
 :mod:`repro.serve.job`
     The job model: :class:`Job` (GEMM operands + tenant, priority, deadline
-    hint, simulated arrival), :class:`ConvJob` (a convolution layer,
-    im2col-lowered at construction so it schedules, prices and batches
-    exactly like the GEMM it lowers to, then folds back to an OFMAP) and
+    hint, simulated arrival), :class:`SeededJob` (the same with a seed
+    recipe in place of the operands, drawn only when its batch runs),
+    :class:`ConvJob` (a convolution layer, im2col-lowered at construction
+    so it schedules, prices and batches exactly like the GEMM it lowers
+    to, then folds back to an OFMAP) and
     :class:`JobResult` (the bit-exact :class:`repro.api.RunResult` plus
     serving-side latency accounting).
 :mod:`repro.serve.queues`
@@ -135,6 +137,7 @@ from repro.serve.job import (
     ConvJob,
     Job,
     JobResult,
+    SeededJob,
 )
 from repro.serve.queues import (
     ADMISSION_POLICIES,
@@ -173,6 +176,7 @@ from repro.serve.scheduler import (
 
 __all__ = [
     "Job",
+    "SeededJob",
     "ConvJob",
     "AnyJob",
     "JobResult",

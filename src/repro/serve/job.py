@@ -2,7 +2,11 @@
 
 A :class:`Job` wraps one ``run_gemm`` invocation — the operands plus the
 multi-tenant metadata the scheduler needs (tenant id, priority, deadline
-hint, simulated arrival time).  A :class:`ConvJob` wraps one ``run_conv``
+hint, simulated arrival time).  A :class:`SeededJob` is the same GEMM with
+a seed recipe in place of the operands: it stores only its shape and seed,
+and draws the operands when they are read — straight into the stacked
+batch buffers on the numerics pool, so a long synthetic trace costs a few
+hundred bytes per job until it runs.  A :class:`ConvJob` wraps one ``run_conv``
 invocation: it carries the IFMAP / filter tensors, im2col-lowers them to
 GEMM operands at construction, and is thereafter indistinguishable from a
 GEMM job to the queues, the admission controller and the batch packer —
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -62,37 +67,53 @@ SLO_CLASSES = (SLO_LATENCY_TARGET, SLO_BEST_EFFORT)
 class _GemmOperandsMixin:
     """The scheduler-facing interface shared by every job kind.
 
-    Any job exposing ``(M, K)`` / ``(K, N)`` operands as ``a`` / ``b`` —
-    directly (:class:`Job`) or via lowering (:class:`ConvJob`) — gets the
-    shape-derived properties the queues, the admission pricer and the batch
-    packer consume, plus the default no-op result post-processing.  Keeping
-    this in one place means a new scheduler-facing property is added once
-    and every job kind grows it together.
+    Every job kind has a ``shape`` — the ``(M, K, N)`` GEMM it runs, set at
+    construction and the batching key — and ``(M, K)`` / ``(K, N)``
+    operands ``a`` / ``b``: stored (:class:`Job`), lowered from a
+    convolution (:class:`ConvJob`) or drawn from a seed recipe
+    (:class:`SeededJob`).  The mixin derives the properties the queues, the
+    admission pricer and the batch packer consume from ``shape`` alone, so
+    none of them ever touches operand data, plus the operand write of the
+    stacked batch path and the default no-op result post-processing.
+    Keeping this in one place means a new scheduler-facing property is
+    added once and every job kind grows it together.
     """
 
-    a: np.ndarray
-    b: np.ndarray
+    shape: tuple[int, int, int]
+
+    if TYPE_CHECKING:
+
+        @property
+        def a(self) -> np.ndarray: ...
+
+        @property
+        def b(self) -> np.ndarray: ...
 
     @property
     def m(self) -> int:
-        return self.a.shape[0]
+        return self.shape[0]
 
     @property
     def k(self) -> int:
-        return self.a.shape[1]
+        return self.shape[1]
 
     @property
     def n(self) -> int:
-        return self.b.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        """The ``(M, K, N)`` GEMM shape — the batching key."""
-        return (self.m, self.k, self.n)
+        return self.shape[2]
 
     @property
     def macs(self) -> int:
         return self.m * self.k * self.n
+
+    def write_operands(self, a_out: np.ndarray, b_out: np.ndarray) -> None:
+        """Write ``a`` and ``b`` into preallocated ``(M, K)`` / ``(K, N)`` slots.
+
+        The stacked batch path (:func:`repro.serve.scheduler.run_batch`)
+        hands every job its slots of the ``(B, M, K)`` / ``(B, K, N)``
+        stacks; stored operands are copied in.
+        """
+        a_out[...] = self.a
+        b_out[...] = self.b
 
     def finalize_result(
         self, run: RunResult, accelerator: _AcceleratorBase
@@ -153,6 +174,7 @@ class Job(_GemmOperandsMixin):
     priority: int = 0
     deadline_hint_cycles: int | None = None
     arrival_cycle: int = 0
+    shape: tuple[int, int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(self.a, dtype=np.float64)
@@ -172,8 +194,99 @@ class Job(_GemmOperandsMixin):
             )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "shape", (a.shape[0], a.shape[1], b.shape[1]))
         if self.arrival_cycle < 0:
             raise ValueError(f"job {self.job_id!r}: arrival_cycle must be >= 0")
+
+
+def operand_rng(
+    seed: int, spawn_key: tuple[int, ...], operand: int
+) -> np.random.Generator:
+    """Generator of one operand of a seeded job.
+
+    The child ``spawn_key + (operand,)`` of ``seed``: every operand of
+    every job has its own stream, so drawing one never advances another.
+
+    >>> x = operand_rng(7, (0, 3), 0).standard_normal(2)
+    >>> bool((x == operand_rng(7, (0, 3), 0).standard_normal(2)).all())
+    True
+    """
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(*spawn_key, operand))
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class SeededJob(_GemmOperandsMixin):
+    """One GEMM whose operands are a seed recipe instead of arrays.
+
+    ``a`` and ``b`` are standard-normal draws, each from its own child of
+    the job's seed: ``SeedSequence(seed, spawn_key=spawn_key + (0,))`` for
+    ``a`` and ``(... + (1,))`` for ``b``, so reading one never draws the
+    other.  They are drawn afresh on every read and never cached on the
+    job; ``shape`` (and ``m``/``k``/``n``/``macs``) never draw.  The
+    stacked batch path draws them straight into its buffers
+    (:meth:`write_operands`), on the numerics pool, and a served
+    :class:`SeededJob` is bit-exact against ``run_gemm(job.a, job.b)``
+    like any :class:`Job`.
+
+    Attributes
+    ----------
+    job_id, tenant, name, priority, deadline_hint_cycles, arrival_cycle:
+        As on :class:`Job`.
+    shape:
+        The ``(M, K, N)`` GEMM shape.
+    seed, spawn_key:
+        The recipe: entropy and spawn key of the job's
+        :class:`numpy.random.SeedSequence`.
+
+    >>> job = SeededJob(job_id="j0", tenant="acme", shape=(4, 8, 2), seed=7,
+    ...                 spawn_key=(0, 3))
+    >>> job.shape, job.macs, job.a.shape, job.b.shape
+    ((4, 8, 2), 64, (4, 8), (8, 2))
+    >>> bool((job.a == job.a).all())
+    True
+    """
+
+    job_id: str
+    tenant: str
+    shape: tuple[int, int, int]
+    seed: int
+    # No default: an empty key would give the operands the keys (0,) and
+    # (1,) of SeedSequence(seed).spawn()'s first children.
+    spawn_key: tuple[int, ...]
+    name: str = "gemm"
+    priority: int = 0
+    deadline_hint_cycles: int | None = None
+    arrival_cycle: int = 0
+
+    def __post_init__(self) -> None:
+        shape = tuple(int(dim) for dim in self.shape)
+        if len(shape) != 3 or min(shape) < 1:
+            raise ValueError(
+                f"job {self.job_id!r}: GEMM dimensions must be three positive "
+                f"integers, got {self.shape}"
+            )
+        object.__setattr__(self, "shape", shape)
+        if self.arrival_cycle < 0:
+            raise ValueError(f"job {self.job_id!r}: arrival_cycle must be >= 0")
+
+    @property
+    def a(self) -> np.ndarray:
+        """The ``(M, K)`` operand, drawn afresh on every read."""
+        rng = operand_rng(self.seed, self.spawn_key, 0)
+        return rng.standard_normal((self.m, self.k))
+
+    @property
+    def b(self) -> np.ndarray:
+        """The ``(K, N)`` operand, drawn afresh on every read."""
+        rng = operand_rng(self.seed, self.spawn_key, 1)
+        return rng.standard_normal((self.k, self.n))
+
+    def write_operands(self, a_out: np.ndarray, b_out: np.ndarray) -> None:
+        """Draw ``a`` and ``b`` straight into the stacked batch slots."""
+        operand_rng(self.seed, self.spawn_key, 0).standard_normal(out=a_out)
+        operand_rng(self.seed, self.spawn_key, 1).standard_normal(out=b_out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,6 +329,7 @@ class ConvJob(_GemmOperandsMixin):
     #: Lowered GEMM operands, computed at construction (not constructor args).
     a: np.ndarray = field(init=False, repr=False)
     b: np.ndarray = field(init=False, repr=False)
+    shape: tuple[int, int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         ifmap = np.asarray(self.ifmap, dtype=np.float64)
@@ -233,6 +347,7 @@ class ConvJob(_GemmOperandsMixin):
         object.__setattr__(self, "_conv_shape", layer)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "shape", (a.shape[0], a.shape[1], b.shape[1]))
         if self.arrival_cycle < 0:
             raise ValueError(f"job {self.job_id!r}: arrival_cycle must be >= 0")
 
@@ -261,11 +376,11 @@ class ConvJob(_GemmOperandsMixin):
         )
 
 
-#: The job kinds the scheduler accepts: plain GEMMs and lowered convs share
-#: the :class:`_GemmOperandsMixin` interface but are otherwise unrelated
-#: classes, so annotations spell the union out rather than pretending
-#: everything is a :class:`Job`.
-AnyJob = Job | ConvJob
+#: The job kinds the scheduler accepts: stored and seeded GEMMs and lowered
+#: convs share the :class:`_GemmOperandsMixin` interface but are otherwise
+#: unrelated classes, so annotations spell the union out rather than
+#: pretending everything is a :class:`Job`.
+AnyJob = Job | SeededJob | ConvJob
 
 
 @dataclass(frozen=True)

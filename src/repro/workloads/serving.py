@@ -12,8 +12,9 @@ trace saturates a fleet the same way regardless of the array configuration
 it targets.
 
 The construction is fully deterministic for a given seed: per-tenant
-substreams come from ``numpy``'s seed-sequence spawning, so adding a tenant
-never perturbs another tenant's arrivals or operands.
+substreams and per-job operand seeds come from ``numpy``'s seed-sequence
+spawning, so adding a tenant never perturbs another tenant's arrivals or
+operands.
 """
 
 from __future__ import annotations
@@ -25,7 +26,14 @@ import numpy as np
 
 from repro.golden.conv import conv_output_shape
 from repro.im2col.lowering import ConvShape, GemmShape, lower_conv_to_gemm
-from repro.serve.job import SLO_BEST_EFFORT, SLO_CLASSES, ConvJob, Job
+from repro.serve.job import (
+    SLO_BEST_EFFORT,
+    SLO_CLASSES,
+    AnyJob,
+    ConvJob,
+    SeededJob,
+    operand_rng,
+)
 from repro.serve.scheduler import planned_gemm_cycles
 from repro.workloads.gemm_workloads import TABLE3_WORKLOADS
 from repro.workloads.resnet50 import RESNET50_CONV_LAYERS
@@ -182,8 +190,24 @@ def synthetic_trace(
     conv_workloads: Sequence[ConvShape] = DEFAULT_CONV_WORKLOADS,
     seed: int = 0,
     deadline_slack: float | None = None,
-) -> list[Job | ConvJob]:
+) -> list[AnyJob]:
     """Build a deterministic mixed-workload trace for a serving run.
+
+    Each tenant's stream draws only the trace's structure: per job, the
+    inter-arrival gap, the job kind (when ``conv_fraction`` > 0) and the
+    shape.  Operands never come from it.  GEMM jobs are
+    :class:`repro.serve.job.SeededJob` recipes whose operands are drawn
+    from the job's own child seed, ``SeedSequence(seed, spawn_key=(tenant,
+    job, operand))`` (:func:`repro.serve.job.operand_rng`), only when the
+    job's batch runs — straight into the stacked buffers on the numerics
+    pool.  Building the trace therefore costs a few hundred bytes per GEMM
+    job whatever the shapes.  The pool has ``min(fleet size, CPUs)``
+    threads on one-thread BLAS (:mod:`repro.engine.blas`: the thread count
+    changes output bits, so it is the same for every call in the process),
+    so a fleet at least as large as the CPU count spreads the draws and
+    matmuls over every core.  Conv jobs draw their IFMAP and filters from
+    the same per-job children here and im2col-lower them at construction,
+    as :class:`repro.serve.job.ConvJob` always does.
 
     Parameters
     ----------
@@ -278,9 +302,9 @@ def synthetic_trace(
     total_share = sum(spec.load_share for spec in tenants)
     aggregate_rate = offered_load / mean_cost  # jobs per cycle
 
-    jobs: list[Job | ConvJob] = []
+    jobs: list[AnyJob] = []
     streams = np.random.SeedSequence(seed).spawn(len(tenants))
-    for spec, stream in zip(tenants, streams):
+    for tenant_index, (spec, stream) in enumerate(zip(tenants, streams)):
         rng = np.random.default_rng(stream)
         rate = aggregate_rate * spec.load_share / total_share
         arrival = 0.0
@@ -299,15 +323,17 @@ def synthetic_trace(
                     for worker in calibration
                 )
                 deadline = int(round(deadline_slack * priced))
+            job_id = f"{spec.name}-{index:04d}"
+            operands_key = (tenant_index, index)
             if is_conv:
                 jobs.append(
                     ConvJob(
-                        job_id=f"{spec.name}-{index:04d}",
+                        job_id=job_id,
                         tenant=spec.name,
-                        ifmap=rng.standard_normal(
+                        ifmap=operand_rng(seed, operands_key, 0).standard_normal(
                             (conv.in_channels, conv.ifmap_h, conv.ifmap_w)
                         ),
-                        filters=rng.standard_normal(
+                        filters=operand_rng(seed, operands_key, 1).standard_normal(
                             (
                                 conv.num_filters,
                                 conv.in_channels,
@@ -324,11 +350,12 @@ def synthetic_trace(
                 )
                 continue
             jobs.append(
-                Job(
-                    job_id=f"{spec.name}-{index:04d}",
+                SeededJob(
+                    job_id=job_id,
                     tenant=spec.name,
-                    a=rng.standard_normal((gemm.m, gemm.k)),
-                    b=rng.standard_normal((gemm.k, gemm.n)),
+                    shape=(gemm.m, gemm.k, gemm.n),
+                    seed=seed,
+                    spawn_key=operands_key,
                     name=gemm.name,
                     deadline_hint_cycles=deadline,
                     arrival_cycle=int(round(arrival)),
