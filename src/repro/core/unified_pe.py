@@ -98,11 +98,6 @@ class UnifiedPE:
         return self._psum_reg
 
     @property
-    def stationary_operand(self) -> float | None:
-        """The preloaded stationary operand (WS/IS), if any."""
-        return self._stationary_reg
-
-    @property
     def mac_count(self) -> int:
         """Multiplications actually executed by this PE."""
         return self._macs

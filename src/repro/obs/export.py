@@ -28,8 +28,14 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Iterator
 
 from repro.obs.tracer import TraceEvent, Tracer
+
+# ``json.dump`` always runs the pure-Python encoder; ``encode`` on a
+# one-shot encoder takes the C path and yields the same bytes.
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 def _metadata_events(tracer: Tracer) -> list[dict[str, object]]:
     records: list[dict[str, object]] = []
@@ -56,6 +62,13 @@ def _metadata_events(tracer: Tracer) -> list[dict[str, object]]:
     return records
 
 
+def _chrome_records(tracer: Tracer) -> Iterator[dict[str, object]]:
+    """The ``traceEvents`` array's items, one at a time: labels, then events."""
+    yield from _metadata_events(tracer)
+    for event in tracer.events:
+        yield event.to_dict()
+
+
 def chrome_trace(tracer: Tracer) -> dict[str, object]:
     """Build the Chrome ``trace_events`` payload for ``tracer``.
 
@@ -65,36 +78,38 @@ def chrome_trace(tracer: Tracer) -> dict[str, object]:
     >>> chrome_trace(tracer)["traceEvents"][0]["dur"]
     10
     """
-    events = _metadata_events(tracer)
-    events.extend(event.to_dict() for event in tracer.events)
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+    return {"traceEvents": list(_chrome_records(tracer)), "displayTimeUnit": "ms"}
 
 
 def write_chrome_trace(path: str | Path, tracer: Tracer) -> None:
-    """Write the Chrome-trace JSON for ``tracer`` to ``path``."""
+    """Write the Chrome-trace JSON for ``tracer`` to ``path``.
+
+    Streams one record at a time: the bytes equal
+    ``json.dump(chrome_trace(tracer), sort_keys=True, separators=(",", ":"))``
+    plus a newline, without building the list of event dicts first.
+    """
     with open(path, "w") as handle:
-        json.dump(chrome_trace(tracer), handle, sort_keys=True,
-                  separators=(",", ":"))
-        handle.write("\n")
+        handle.write('{"displayTimeUnit":"ms","traceEvents":[')
+        separator = ""
+        for record in _chrome_records(tracer):
+            handle.write(separator + _ENCODE(record))
+            separator = ","
+        handle.write("]}\n")
 
 
 def write_jsonl_trace(path: str | Path, tracer: Tracer) -> None:
     """Write ``tracer`` as a JSONL stream (labels first, then events)."""
     with open(path, "w") as handle:
         for pid, label in sorted(tracer.process_labels.items()):
-            json.dump({"type": "process_label", "pid": pid, "name": label},
-                      handle, sort_keys=True, separators=(",", ":"))
-            handle.write("\n")
+            record = {"type": "process_label", "pid": pid, "name": label}
+            handle.write(_ENCODE(record) + "\n")
         for (pid, tid), label in sorted(tracer.thread_labels.items()):
-            json.dump(
-                {"type": "thread_label", "pid": pid, "tid": tid, "name": label},
-                handle, sort_keys=True, separators=(",", ":"))
-            handle.write("\n")
+            record = {"type": "thread_label", "pid": pid, "tid": tid, "name": label}
+            handle.write(_ENCODE(record) + "\n")
         for event in tracer.events:
-            record = dict(event.to_dict())
+            record = event.to_dict()
             record["type"] = "event"
-            json.dump(record, handle, sort_keys=True, separators=(",", ":"))
-            handle.write("\n")
+            handle.write(_ENCODE(record) + "\n")
 
 
 def write_trace(path: str | Path, tracer: Tracer) -> str:

@@ -163,10 +163,6 @@ class FaultPlan:
         )
         object.__setattr__(self, "faults", ordered)
 
-    def for_worker(self, worker_id: int) -> tuple[WorkerFault, ...]:
-        """This worker's faults, in ``at_cycle`` order."""
-        return tuple(f for f in self.faults if f.worker_id == worker_id)
-
     def max_worker_id(self) -> int:
         """Largest worker id any fault names (-1 for an empty plan)."""
         return max((f.worker_id for f in self.faults), default=-1)

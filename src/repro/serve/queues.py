@@ -34,6 +34,7 @@ against its fair share wherever it also competes in the fair rotation.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -189,6 +190,19 @@ class QueuedJob:
             return None
         return deadline - now - self.priced_cycles
 
+    @property
+    def latest_start(self) -> int | None:
+        """Last cycle a start still meets the deadline (None without a hint)."""
+        deadline = self.deadline_cycle
+        if deadline is None:
+            return None
+        return deadline - self.priced_cycles
+
+    def lapsed(self, now: int) -> bool:
+        """Whether the entry can no longer meet its deadline, even started now."""
+        latest = self.latest_start
+        return latest is not None and latest < now
+
 
 @dataclass
 class _TenantQueue:
@@ -283,6 +297,11 @@ class WeightedFairQueue:
         self._virtual_clock = 0.0
         self._queued_priced_cycles = 0
         self._tracer = tracer
+        # Lapse index over hinted entries: a min-heap of (latest start,
+        # job id) and the ids still queued.  Entries that left the queue
+        # are dropped lazily once they reach the top (:meth:`any_lapsed`).
+        self._lapse_heap: list[tuple[int, str]] = []
+        self._hinted_ids: set[str] = set()
 
     def _tenant(self, name: str) -> _TenantQueue:
         queue = self._tenants.get(name)
@@ -342,6 +361,17 @@ class WeightedFairQueue:
     def push(self, entry: QueuedJob) -> None:
         """Enqueue an admitted job."""
         self._queued_priced_cycles += entry.priced_cycles
+        latest = entry.latest_start
+        if latest is not None:
+            heapq.heappush(self._lapse_heap, (latest, entry.job.job_id))
+            self._hinted_ids.add(entry.job.job_id)
+            if len(self._lapse_heap) > 2 * len(self._hinted_ids) + 64:
+                # Entries that left the queue linger until they reach the
+                # top, and without deadline enforcement nothing reads the
+                # top: compact so the heap stays the size of the queue.
+                self._lapse_heap = sorted(
+                    {item for item in self._lapse_heap if item[1] in self._hinted_ids}
+                )
         if self._pool_eligible(entry):
             self._deadline_pool.append(entry)
         elif entry.deprioritized:
@@ -440,6 +470,19 @@ class WeightedFairQueue:
             return pooled
         return sum(1 for entry in self._backlog if entry.job.shape == shape)
 
+    def any_lapsed(self, now: int) -> bool:
+        """Whether some queued entry has lapsed at ``now``.
+
+        The same rule as :meth:`QueuedJob.lapsed`, read off the lapse
+        heap's top after popping entries that already left the queue:
+        amortized O(log n) per pushed entry, where a :meth:`remove_matching`
+        sweep walks the whole queue.
+        """
+        heap = self._lapse_heap
+        while heap and heap[0][1] not in self._hinted_ids:
+            heapq.heappop(heap)
+        return bool(heap) and heap[0][0] < now
+
     def remove_matching(
         self, predicate: Callable[[QueuedJob], bool]
     ) -> list[QueuedJob]:
@@ -471,6 +514,7 @@ class WeightedFairQueue:
             (removed if predicate(entry) else kept_backlog).append(entry)
         self._backlog = kept_backlog
         self._queued_priced_cycles -= sum(entry.priced_cycles for entry in removed)
+        self._hinted_ids.difference_update(entry.job.job_id for entry in removed)
         return removed
 
     def pop_job(self, job_id: str) -> QueuedJob | None:
@@ -613,4 +657,5 @@ class WeightedFairQueue:
                 kept_backlog.extend(self._backlog)
                 self._backlog = kept_backlog
         self._queued_priced_cycles -= sum(entry.priced_cycles for entry in batch)
+        self._hinted_ids.difference_update(entry.job.job_id for entry in batch)
         return batch

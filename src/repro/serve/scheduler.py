@@ -376,6 +376,10 @@ class _OnlinePlanner:
         # the seal, so a preemption never races an execution.
         self.sealed: list[bool] = []
         self._unsealed: list[int] = []
+        # Batches sealed since the stream last launched numerics; the
+        # stream swaps this list out after every offer, so a launch costs
+        # the batches it starts, not every batch planned so far.
+        self.newly_sealed: list[int] = []
         self.terminal: list[JobResult] = []
         self.tenants: set[str] = set()
         self.seen_ids: set[str] = set()
@@ -488,18 +492,15 @@ class _OnlinePlanner:
             for event in result.trace_events():
                 self.tracer.emit(event)
 
-    def _lapsed(self, entry: QueuedJob, cycle: int) -> bool:
-        """Whether the entry can no longer meet its deadline, even started now."""
-        hint = entry.job.deadline_hint_cycles
-        if hint is None:
-            return False
-        return cycle + entry.priced_cycles > entry.job.arrival_cycle + hint
-
     def _expire_queued(self, cycle: int) -> None:
-        """Expire every queued job whose laxity has run out at ``cycle``."""
-        for entry in self.queue.remove_matching(
-            lambda entry: self._lapsed(entry, cycle)
-        ):
+        """Expire every queued job whose laxity has run out at ``cycle``.
+
+        The queue's lapse heap answers "has any entry lapsed?" first, so
+        the full sweep only runs when it removes something.
+        """
+        if not self.queue.any_lapsed(cycle):
+            return
+        for entry in self.queue.remove_matching(lambda entry: entry.lapsed(cycle)):
             self._terminal_entry(entry, STATUS_EXPIRED, cycle, entry.attempts)
 
     def _notify_work(self, entry_cycle: int, shape: tuple[int, int, int]) -> None:
@@ -532,7 +533,7 @@ class _OnlinePlanner:
 
     def _requeue(self, entry: QueuedJob, cycle: int) -> None:
         """Return a fault-interrupted job to the queue at the failure cycle."""
-        if self._s.enforce_deadlines and self._lapsed(entry, cycle):
+        if self._s.enforce_deadlines and entry.lapsed(cycle):
             self._terminal_entry(entry, STATUS_EXPIRED, cycle, entry.attempts)
             return
         if self._no_alive_workers(cycle):
@@ -590,6 +591,7 @@ class _OnlinePlanner:
         if self.sealed[index]:
             return
         self.sealed[index] = True
+        self.newly_sealed.append(index)
         self._emit_batch_close(self.batches[index])
 
     def _seal_ready(self) -> None:
@@ -790,7 +792,7 @@ class _OnlinePlanner:
         )
         # A deadline that is already unmeetable at arrival expires at the
         # door — the fleet never spends cycles on it.
-        if scheduler.enforce_deadlines and self._lapsed(entry, entry_cycle):
+        if scheduler.enforce_deadlines and entry.lapsed(entry_cycle):
             self._terminal_entry(entry, STATUS_EXPIRED, entry_cycle, 0)
             return
         # Overload shedding: when admitting this job would push the queued
@@ -1547,14 +1549,14 @@ class AsyncGemmScheduler:
         planner = stream.planner
         while len(stream.futures) < len(planner.batches):
             stream.futures.append(None)
-        for index, sealed in enumerate(planner.sealed):
-            if sealed and stream.futures[index] is None:
-                batch = planner.batches[index]
-                stream.futures[index] = stream.pool.submit(
-                    run_batch,
-                    self.fleet[batch.worker_id],
-                    [entry.job for entry in batch.executed],
-                )
+        ready, planner.newly_sealed = planner.newly_sealed, []
+        for index in sorted(ready):
+            batch = planner.batches[index]
+            stream.futures[index] = stream.pool.submit(
+                run_batch,
+                self.fleet[batch.worker_id],
+                [entry.job for entry in batch.executed],
+            )
 
     def submit(self, job: AnyJob) -> None:
         """Feed one job into the open stream (opening it if needed).
