@@ -65,7 +65,7 @@ pricing entirely (see ``docs/caching.md``).  ``run``, ``conv`` and
 commands evaluate the analytical models.  The heavier, figure-for-figure
 regeneration lives in ``benchmarks/`` (run via pytest); the CLI is for
 interactive exploration of individual design points.  See
-``docs/observability.md`` for the tracing/metrics layer.
+``docs/observability.md`` for tracing and bench regression gating.
 """
 
 from __future__ import annotations
@@ -619,7 +619,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             return 2
     try:
         _print_cache_stats(args.json)
-        if args.clear or args.clear_cache:
+        if args.clear:
             clear_estimate_cache()
             print("estimate cache cleared")
             # Truncate the journal only when it was named explicitly on
@@ -964,9 +964,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="diff two bench artifacts; exits 1 when a --fail-on gate trips",
         description=(
             "Compare the flat metrics of OLD and NEW benchmark artifacts "
-            "(schema-v1 or legacy). Rows matching a --fail-on gate whose "
-            "change exceeds the tolerance in the losing direction are "
-            "regressions; any regression makes the command exit 1."
+            "(schema-v1 only; any other file exits 2). Rows matching a "
+            "--fail-on gate whose change exceeds the tolerance in the "
+            "losing direction are regressions; any regression makes the "
+            "command exit 1."
         ),
     )
     compare.add_argument("old", help="baseline artifact JSON")
@@ -1007,10 +1008,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--clear", action="store_true",
         help="drop every memoized estimate (with --store: also truncate "
         "the journal)",
-    )
-    cache.add_argument(
-        "--clear-cache", action="store_true",
-        help="deprecated alias for --clear",
     )
     cache.add_argument(
         "--store", default=None, metavar="PATH",

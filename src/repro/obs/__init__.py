@@ -1,6 +1,6 @@
-"""Observability for the serving stack: tracing, metrics, bench regression.
+"""Observability for the serving stack: tracing and bench regression.
 
-Three deterministic building blocks, all keyed to the *simulated* clock so
+Two deterministic building blocks, both keyed to the *simulated* clock so
 observing a run never perturbs (or varies with) wall time:
 
 * :mod:`repro.obs.tracer` — :class:`Tracer` records structured span /
@@ -9,8 +9,6 @@ observing a run never perturbs (or varies with) wall time:
   Exports land in Chrome-trace/Perfetto JSON or JSONL
   (:mod:`repro.obs.export`) and reduce to queue-depth / batch-occupancy /
   per-tenant breakdowns (:mod:`repro.obs.summary`).
-* :mod:`repro.obs.metrics` — a tiny counter/gauge/histogram registry with
-  exact integer bins; ``ServeReport.to_dict()`` embeds its stable output.
 * :mod:`repro.obs.bench` — the shared benchmark-artifact schema and the
   ``repro bench compare`` regression comparator CI runs across PRs.
 
@@ -45,7 +43,6 @@ from repro.obs.export import (
     write_jsonl_trace,
     write_trace,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.summary import format_trace_summary, summarize_trace
 from repro.obs.tracer import (
     WALL_CATEGORY,
@@ -55,12 +52,8 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "Counter",
     "FailOn",
-    "Gauge",
-    "Histogram",
     "MetricDelta",
-    "MetricsRegistry",
     "SCHEMA_KEYS",
     "SCHEMA_VERSION",
     "TraceEvent",

@@ -1,14 +1,13 @@
 """Versioned benchmark artifacts and the cross-PR regression comparator.
 
 Every ``benchmarks/bench_*.py`` JSON artifact shares one schema
-(:data:`SCHEMA_VERSION`): top-level ``schema_version``, ``bench``,
-``config``, and ``metrics`` keys, with the bench's legacy payload kept
-alongside for readers that predate the schema.  ``metrics`` is a flat
+(:data:`SCHEMA_VERSION`): the ``schema_version``, ``bench``, ``config``
+and ``metrics`` keys, and nothing else.  ``metrics`` is a flat
 ``dotted.path → number`` mapping produced by :func:`flatten_metrics`, which
 is what makes any two artifacts diffable.
 
-``repro bench compare OLD.json NEW.json`` loads both (legacy artifacts are
-normalized on the fly), joins their metric namespaces, and — when given
+``repro bench compare OLD.json NEW.json`` loads both (a file without the
+schema keys is refused), joins their metric namespaces, and — when given
 ``--fail-on`` thresholds — exits non-zero on a regression.  Direction is
 inferred from the metric name (throughput-like metrics regress downward,
 latency-like metrics upward) unless the threshold spec pins it.
@@ -93,10 +92,10 @@ def flatten_metrics(payload: Any, prefix: str = "") -> dict[str, float]:
 def bench_artifact(
     bench: str, config: dict[str, Any], payload: dict[str, Any]
 ) -> dict[str, Any]:
-    """Wrap a bench's legacy payload in the shared, versioned schema.
+    """Wrap a bench's payload in the shared, versioned schema.
 
-    The legacy keys stay at top level (old readers keep working); the
-    ``metrics`` section is the flattened numeric view of the payload.
+    The ``metrics`` section is the flattened numeric view of the payload;
+    the payload itself is not kept.
 
     >>> artifact = bench_artifact("demo", {"seed": 0}, {"speedup": 3.5})
     >>> artifact["schema_version"], artifact["metrics"]["speedup"]
@@ -107,29 +106,26 @@ def bench_artifact(
         "bench": bench,
         "config": dict(config),
         "metrics": flatten_metrics(payload),
-        **payload,
     }
 
 
 def normalize_artifact(data: dict[str, Any]) -> dict[str, float]:
-    """Extract the flat metrics mapping from any artifact vintage.
-
-    Schema-v1 artifacts contribute their ``metrics`` section; legacy
-    artifacts are flattened whole (minus any ``params`` config block).
+    """Extract the flat metrics mapping of a schema-v1 artifact.
 
     >>> normalize_artifact({"schema_version": 1, "bench": "b",
     ...                     "config": {}, "metrics": {"x": 1.0}})
     {'x': 1.0}
-    >>> normalize_artifact({"serial": {"wall_seconds": 0.5}})
-    {'serial.wall_seconds': 0.5}
     """
-    if all(key in data for key in SCHEMA_KEYS):
-        metrics = data["metrics"]
-        if not isinstance(metrics, dict):
-            raise ValueError("schema artifact has a non-mapping metrics section")
-        return {str(key): float(value) for key, value in metrics.items()}
-    legacy = {key: value for key, value in data.items() if key != "params"}
-    return flatten_metrics(legacy)
+    missing = [key for key in SCHEMA_KEYS if key not in data]
+    if missing:
+        raise ValueError(
+            f"not a schema-v{SCHEMA_VERSION} benchmark artifact "
+            f"(missing {', '.join(missing)})"
+        )
+    metrics = data["metrics"]
+    if not isinstance(metrics, dict):
+        raise ValueError("schema artifact has a non-mapping metrics section")
+    return {str(key): float(value) for key, value in metrics.items()}
 
 
 def load_artifact(path: str | Path) -> tuple[str, dict[str, float]]:
@@ -140,8 +136,11 @@ def load_artifact(path: str | Path) -> tuple[str, dict[str, float]]:
         raise ValueError(f"cannot load benchmark artifact {path}: {error}")
     if not isinstance(data, dict):
         raise ValueError(f"{path}: artifact must be a JSON object")
-    name = str(data.get("bench", Path(path).stem))
-    return name, normalize_artifact(data)
+    try:
+        metrics = normalize_artifact(data)
+    except ValueError as error:
+        raise ValueError(f"{path}: {error}") from None
+    return str(data["bench"]), metrics
 
 
 def infer_direction(metric: str) -> str:

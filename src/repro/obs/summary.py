@@ -5,15 +5,18 @@
 ``repro trace summarize`` subcommand prints:
 
 * **queue-depth time series** — from the ``queue.depth`` counter samples;
-* **batch-occupancy histogram** — from ``batch.open`` instants;
+* **batch-occupancy histogram** — executed members per batch, from the
+  ``completed`` count on ``batch.close`` instants (batches a fault or a
+  preemption cut before any member ran are skipped);
 * **per-tenant latency breakdown** — from ``job.completed`` instants, with
   each completed job's latency split into *queue-wait* (before first
   dispatch, excluding retry waits), *execute* (dispatch → finish), and
   *retry-wait* (queueing re-accumulated after a fault requeue, located via
   ``job.requeued`` instants);
 * **per-SLO-class deadline view** — from the ``slo`` / ``deadline_met`` /
-  ``preemptions`` args on terminal job events, reproducing the
-  :class:`repro.serve.report.SloClassStats` counters exactly.
+  ``preemptions`` args on terminal job events, folded by
+  :func:`fold_slo_classes`, the same fold
+  :func:`repro.serve.report.compile_serve_report` feeds its job results.
 
 The per-tenant p50/p95 use :func:`repro.analysis.latency.summarize_latencies`
 — the identical percentile definition ``ServeReport`` quotes — so numbers
@@ -22,7 +25,7 @@ pins.
 
 >>> events = [
 ...     {"name": "queue.depth", "ph": "C", "ts": 0, "args": {"depth": 2}},
-...     {"name": "batch.open", "ph": "i", "ts": 5, "args": {"size": 2}},
+...     {"name": "batch.close", "ph": "i", "ts": 9, "args": {"completed": 2}},
 ...     {"name": "job.completed", "ph": "i", "ts": 9,
 ...      "args": {"job_id": "t0-j0", "tenant": "t0", "arrival_cycle": 0,
 ...               "latency_cycles": 9, "queue_cycles": 5, "attempts": 1}},
@@ -37,7 +40,7 @@ pins.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any
+from typing import Any, Iterable
 
 from repro.analysis.latency import summarize_latencies
 from repro.analysis.reports import format_table
@@ -50,6 +53,15 @@ TERMINAL_EVENTS = (
     "job.cancelled",
     "job.expired",
     "job.shed",
+)
+
+#: The counters :func:`fold_slo_classes` keeps per SLO class.
+_SLO_COUNTERS = (
+    "submitted",
+    "completed",
+    "deadline_met",
+    "deadline_eligible",
+    "preemptions",
 )
 
 
@@ -80,8 +92,10 @@ def _queue_depth_view(events: list[dict[str, Any]]) -> dict[str, Any]:
 def _batch_occupancy_view(events: list[dict[str, Any]]) -> dict[str, int]:
     occupancy: dict[int, int] = defaultdict(int)
     for event in events:
-        if event.get("name") == "batch.open":
-            occupancy[int(_arg(event, "size", 0))] += 1
+        if event.get("name") == "batch.close":
+            completed = int(_arg(event, "completed", 0))
+            if completed:
+                occupancy[completed] += 1
     return {str(size): occupancy[size] for size in sorted(occupancy)}
 
 
@@ -140,44 +154,47 @@ def _tenant_views(events: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:
     return dict(sorted(tenants.items()))
 
 
-def _slo_views(events: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:
-    """Per-SLO-class deadline outcome, matching ``ServeReport`` exactly.
+def fold_slo_classes(
+    outcomes: Iterable[tuple[str, bool, bool | None, int]],
+) -> dict[str, dict[str, int]]:
+    """Per-SLO-class deadline counters, classes in first-seen order.
 
-    Folds the ``slo`` / ``deadline_met`` / ``preemptions`` args the
-    terminal job events carry into the same counters
-    :class:`repro.serve.report.SloClassStats` computes — ``deadline_met``
-    out of ``deadline_eligible`` completed jobs that carried a hint, and
-    total preemption displacements — so a trace-derived deadline-hit view
-    agrees with the report's gauges number-for-number (the test suite
-    pins this).  Traces written before these args existed collapse to a
-    single eligible-free best-effort class.
+    Each outcome is one terminal job's ``(slo, completed, deadline_met,
+    preemptions)``; ``deadline_met`` out of ``deadline_eligible`` counts
+    completed jobs that carried a hint (``deadline_met`` not None).
+    ``compile_serve_report`` folds its job results here and
+    :func:`summarize_trace` its terminal events' args, so the report's and
+    the trace's SLO tables are one computation.
+
+    >>> fold_slo_classes([("best-effort", True, None, 0),
+    ...                   ("latency-target", True, True, 1),
+    ...                   ("latency-target", False, False, 0)])["latency-target"]
+    {'submitted': 2, 'completed': 1, 'deadline_met': 1, 'deadline_eligible': 1, 'preemptions': 1}
     """
-    classes: dict[str, dict[str, Any]] = {}
-    for event in events:
-        name = str(event.get("name", ""))
-        if name not in TERMINAL_EVENTS:
-            continue
-        slo = str(_arg(event, "slo", "best-effort"))
-        view = classes.setdefault(
-            slo,
-            {
-                "submitted": 0,
-                "completed": 0,
-                "deadline_met": 0,
-                "deadline_eligible": 0,
-                "preemptions": 0,
-            },
-        )
+    classes: dict[str, dict[str, int]] = {}
+    for slo, completed, deadline_met, preemptions in outcomes:
+        view = classes.setdefault(slo, dict.fromkeys(_SLO_COUNTERS, 0))
         view["submitted"] += 1
-        view["preemptions"] += int(_arg(event, "preemptions", 0) or 0)
-        if name != "job.completed":
-            continue
-        view["completed"] += 1
-        met = _arg(event, "deadline_met")
-        if met is not None:
+        view["completed"] += completed
+        view["preemptions"] += preemptions
+        if completed and deadline_met is not None:
             view["deadline_eligible"] += 1
-            if met:
-                view["deadline_met"] += 1
+            view["deadline_met"] += deadline_met
+    return classes
+
+
+def _slo_views(events: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:
+    """Per-SLO-class deadline outcome (SLO-less traces: all best-effort)."""
+    classes: dict[str, dict[str, Any]] = fold_slo_classes(
+        (
+            str(_arg(event, "slo", "best-effort")),
+            event.get("name") == "job.completed",
+            _arg(event, "deadline_met"),
+            int(_arg(event, "preemptions", 0) or 0),
+        )
+        for event in events
+        if event.get("name") in TERMINAL_EVENTS
+    )
     for view in classes.values():
         view["deadline_hit_rate"] = (
             view["deadline_met"] / view["deadline_eligible"]
@@ -329,4 +346,9 @@ def format_trace_summary(summary: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-__all__ = ["TERMINAL_EVENTS", "format_trace_summary", "summarize_trace"]
+__all__ = [
+    "TERMINAL_EVENTS",
+    "fold_slo_classes",
+    "format_trace_summary",
+    "summarize_trace",
+]

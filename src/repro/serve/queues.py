@@ -66,17 +66,6 @@ class AdmissionDecision:
     priced_cycles: int
 
 
-@dataclass
-class TenantAdmissionStats:
-    """Running admission accounting for one tenant."""
-
-    admitted: int = 0
-    deprioritized: int = 0
-    rejected: int = 0
-    priced_cycles: int = 0
-    budget_cycles: int | None = None
-
-
 class AdmissionController:
     """Estimate-cache-backed admission: price first, then run (or not).
 
@@ -104,14 +93,8 @@ class AdmissionController:
         self._budgets = dict(budgets or {})
         self.policy = policy
         self._tracer = tracer
-        self._stats: dict[str, TenantAdmissionStats] = {}
-
-    def _tenant_stats(self, tenant: str) -> TenantAdmissionStats:
-        if tenant not in self._stats:
-            self._stats[tenant] = TenantAdmissionStats(
-                budget_cycles=self._budgets.get(tenant)
-            )
-        return self._stats[tenant]
+        #: Priced cycles each tenant's admitted jobs have spent so far.
+        self._spent: dict[str, int] = {}
 
     def admit(self, job: AnyJob, *, cycle: int = 0) -> AdmissionDecision:
         """Price ``job`` and decide whether (and how) it may run.
@@ -122,20 +105,14 @@ class AdmissionController:
         with a tracer attached it timestamps the ``job.priced`` event.
         """
         cost = int(self._pricer(job))
-        stats = self._tenant_stats(job.tenant)
-        budget = stats.budget_cycles
-        over_budget = budget is not None and stats.priced_cycles + cost > budget
+        spent = self._spent.get(job.tenant, 0)
+        budget = self._budgets.get(job.tenant)
+        over_budget = budget is not None and spent + cost > budget
         if over_budget and self.policy == POLICY_REJECT:
-            stats.rejected += 1
             decision = AdmissionDecision(False, False, cost)
         else:
-            stats.admitted += 1
-            stats.priced_cycles += cost
-            if over_budget:
-                stats.deprioritized += 1
-                decision = AdmissionDecision(True, True, cost)
-            else:
-                decision = AdmissionDecision(True, False, cost)
+            self._spent[job.tenant] = spent + cost
+            decision = AdmissionDecision(True, over_budget, cost)
         if self._tracer is not None:
             self._tracer.instant(
                 "job.priced",
@@ -147,10 +124,6 @@ class AdmissionController:
                 deprioritized=decision.deprioritized,
             )
         return decision
-
-    def stats(self) -> dict[str, TenantAdmissionStats]:
-        """Per-tenant admission accounting (live references)."""
-        return dict(self._stats)
 
 
 @dataclass(frozen=True)

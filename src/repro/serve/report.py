@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.analysis.latency import LatencySummary, summarize_latencies
 from repro.analysis.reports import format_table
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.summary import fold_slo_classes
 from repro.serve.job import (
     SLO_CLASSES,
     STATUS_CANCELLED,
@@ -254,7 +254,7 @@ class ServeReport:
     ``max_preemptions`` / ``faults`` echo the fault and SLO configuration
     the run executed under.  ``preemptions`` totals job displacements by
     preemption and ``slo_class_stats`` breaks the deadline outcome down
-    per SLO class (the per-class gauges the regression gate watches).
+    per SLO class (the fold ``repro trace summarize`` shares).
     """
 
     jobs_submitted: int
@@ -352,95 +352,6 @@ class ServeReport:
             return 0.0
         return self.deadline_met / self.deadline_eligible
 
-    def metrics(self) -> MetricsRegistry:
-        """The run as a stable metrics registry (simulated quantities only).
-
-        Counter/gauge/histogram names are fixed and key-sorted in the
-        registry's ``to_dict()``, which is what ``repro bench compare``
-        diffs across PRs.  Wall-clock time is deliberately excluded — the
-        registry carries only simulated-clock quantities, so the metrics
-        of two same-seed runs on different machines are identical except
-        for cache counters (which depend on the process-wide estimate
-        cache's starting state).
-
-        >>> report = ServeReport(
-        ...     jobs_submitted=2, jobs_completed=2, jobs_rejected=0,
-        ...     batches=2, batched_jobs=0, max_batch=2, fleet_size=1,
-        ...     makespan_cycles=100, clock_hz=1e9, wall_seconds=0.1,
-        ...     cache_hits=3, cache_misses=1, tenants=(), workers=(),
-        ...     batch_occupancy=((1, 2),))
-        >>> registry = report.metrics().to_dict()
-        >>> registry["counters"]["serve.jobs.completed"]
-        2
-        >>> registry["histograms"]["serve.batch_occupancy"]["counts"][0]
-        2
-        """
-        registry = MetricsRegistry()
-        counts = {
-            "serve.jobs.submitted": self.jobs_submitted,
-            "serve.jobs.completed": self.jobs_completed,
-            "serve.jobs.rejected": self.jobs_rejected,
-            "serve.jobs.failed": self.jobs_failed,
-            "serve.jobs.cancelled": self.jobs_cancelled,
-            "serve.jobs.expired": self.jobs_expired,
-            "serve.jobs.shed": self.jobs_shed,
-            "serve.retries": self.retries,
-            "serve.preemptions": self.preemptions,
-            "serve.batches": self.batches,
-            "serve.batched_jobs": self.batched_jobs,
-            "serve.makespan_cycles": int(self.makespan_cycles),
-            "serve.deadline.met": self.deadline_met,
-            "serve.deadline.eligible": self.deadline_eligible,
-            "serve.cache.hits": self.cache_hits,
-            "serve.cache.misses": self.cache_misses,
-            "serve.cache.evictions": self.cache_evictions,
-            "serve.cache.disk_hits": self.cache_disk_hits,
-            "serve.cache.disk_misses": self.cache_disk_misses,
-            "serve.cache.disk_skips": self.cache_disk_skips,
-        }
-        for name, value in counts.items():
-            registry.counter(name).add(value)
-        registry.gauge("serve.jobs_per_second").set(self.jobs_per_second)
-        registry.gauge("serve.cache.hit_rate").set(self.cache_hit_rate)
-        registry.gauge("serve.utilization.mean").set(self.mean_worker_utilization)
-        registry.gauge("serve.deadline_hit_rate").set(self.deadline_hit_rate)
-        for slo_stats in self.slo_class_stats:
-            prefix = f"serve.slo.{slo_stats.slo}"
-            registry.counter(f"{prefix}.deadline.met").add(slo_stats.deadline_met)
-            registry.counter(f"{prefix}.deadline.eligible").add(
-                slo_stats.deadline_eligible
-            )
-            registry.counter(f"{prefix}.preemptions").add(slo_stats.preemptions)
-            registry.gauge(f"{prefix}.deadline_hit_rate").set(
-                slo_stats.deadline_hit_rate
-            )
-        for tenant in self.tenants:
-            prefix = f"serve.tenant.{tenant.tenant}"
-            registry.counter(f"{prefix}.completed").add(tenant.completed)
-            registry.counter(f"{prefix}.lost").add(
-                tenant.failed + tenant.cancelled + tenant.expired + tenant.shed
-            )
-            if tenant.latency is not None:
-                registry.gauge(f"{prefix}.p50_latency_cycles").set(
-                    tenant.latency.p50
-                )
-                registry.gauge(f"{prefix}.p95_latency_cycles").set(
-                    tenant.latency.p95
-                )
-        for stats in self.cache_class_stats:
-            prefix = f"serve.cache_class.{stats.worker_class}"
-            registry.counter(f"{prefix}.hits").add(stats.hits)
-            registry.counter(f"{prefix}.misses").add(stats.misses)
-            registry.counter(f"{prefix}.evictions").add(stats.evictions)
-        # Exact integer bins: one per batch size up to the configured cap,
-        # with the implicit overflow bin unused by construction.
-        edges = tuple(range(1, max(1, self.max_batch) + 1))
-        histogram = registry.histogram("serve.batch_occupancy", edges=edges)
-        for size, count in self.batch_occupancy:
-            for _ in range(count):
-                histogram.observe(size)
-        return registry
-
     def to_dict(self) -> dict:
         return {
             "jobs_submitted": self.jobs_submitted,
@@ -493,7 +404,6 @@ class ServeReport:
             "cache_classes": [
                 stats.to_dict() for stats in self.cache_class_stats
             ],
-            "metrics": self.metrics().to_dict(),
         }
 
 
@@ -540,28 +450,12 @@ def _compile_class_stats(
 
 def _compile_slo_stats(results: Sequence[JobResult]) -> tuple[SloClassStats, ...]:
     """Group the deadline outcome by the jobs' SLO class (stable order)."""
-    by_slo: dict[str, list[JobResult]] = {}
-    for result in results:
-        by_slo.setdefault(result.slo, []).append(result)
-    order = [slo for slo in SLO_CLASSES if slo in by_slo]
-    order += sorted(slo for slo in by_slo if slo not in SLO_CLASSES)
-    stats = []
-    for slo in order:
-        entries = by_slo[slo]
-        eligible = [
-            r for r in entries if r.completed and r.deadline_hint_cycles is not None
-        ]
-        stats.append(
-            SloClassStats(
-                slo=slo,
-                submitted=len(entries),
-                completed=sum(1 for r in entries if r.completed),
-                deadline_met=sum(1 for r in eligible if r.deadline_met),
-                deadline_eligible=len(eligible),
-                preemptions=sum(r.preemptions for r in entries),
-            )
-        )
-    return tuple(stats)
+    views = fold_slo_classes(
+        (r.slo, r.completed, r.deadline_met, r.preemptions) for r in results
+    )
+    order = [slo for slo in SLO_CLASSES if slo in views]
+    order += sorted(slo for slo in views if slo not in SLO_CLASSES)
+    return tuple(SloClassStats(slo=slo, **views[slo]) for slo in order)
 
 
 def compile_serve_report(

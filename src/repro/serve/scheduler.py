@@ -310,18 +310,6 @@ class _ScheduledBatch:
         return self.start_cycle + sum(self.service_cycles[:-1])
 
 
-@dataclass
-class _WorkerLedger:
-    """Mutable per-worker occupancy while the schedule is being built."""
-
-    worker_id: int
-    jobs: int = 0
-    batches: int = 0
-    busy_cycles: int = 0
-    failures: int = 0
-    alive: bool = True
-
-
 class _OnlinePlanner:
     """Incremental simulated-clock planner behind one ``submit()`` stream.
 
@@ -366,7 +354,6 @@ class _OnlinePlanner:
             slo_classes=scheduler.slo_classes,
             tracer=self.tracer,
         )
-        self.ledgers = {wid: _WorkerLedger(wid) for wid in range(fleet_size)}
         self.batches: list[_ScheduledBatch] = []
         # A batch is *sealed* once no future planning event can cut it:
         # with preemption off that is at creation; otherwise once it was
@@ -393,9 +380,9 @@ class _OnlinePlanner:
         self._window_wait: set[int] = set()
         self._requeues: list[tuple[int, int, QueuedJob]] = []
         self._requeue_seq = 0
-        # Only the "random" placement baseline draws from this; the priced
-        # policy is deterministic without it.
-        self._rng = np.random.default_rng(scheduler.placement_seed)
+        # Only the "random" placement baseline draws from this (seed 0);
+        # the priced policy is deterministic without it.
+        self._rng = np.random.default_rng(0)
         # Tracing state: ``_trace_cycle`` is the simulated instant cache
         # hit/miss/evict events are stamped with (pricing has no cycle of
         # its own — it happens "at" the admission or wake that asked).
@@ -686,11 +673,6 @@ class _OnlinePlanner:
             fail_cycle=cut_cycle,
             preempted=True,
         )
-        # Roll the dispatch-time accounting back to the executed prefix;
-        # a preemption cut is not a failure.
-        ledger = self.ledgers[batch.worker_id]
-        ledger.jobs -= len(batch.entries) - completed
-        ledger.busy_cycles -= batch.finish_cycle - cut_cycle
         tracer = self.tracer
         if tracer is not None:
             pid, tid = self._s._track[batch.worker_id]
@@ -853,12 +835,10 @@ class _OnlinePlanner:
         self._terminal_entry(entry, STATUS_CANCELLED, self.horizon, entry.attempts)
         return True
 
-    def finish(
-        self,
-    ) -> tuple[list[_ScheduledBatch], list[JobResult], dict[int, _WorkerLedger]]:
+    def finish(self) -> tuple[list[_ScheduledBatch], list[JobResult]]:
         """End the stream and fire every remaining event.
 
-        Returns ``(batches, terminal, ledgers)`` where ``terminal`` holds
+        Returns ``(batches, terminal)`` where ``terminal`` holds
         every job resolved without execution (rejected, failed, cancelled,
         expired, shed); idempotent.  Work stranded by a fully dead fleet
         resolves as ``failed`` here rather than being silently dropped.
@@ -874,7 +854,7 @@ class _OnlinePlanner:
                     entry, STATUS_FAILED, self.horizon, entry.attempts
                 )
             self._restore_cache_observer()
-        return self.batches, self.terminal, self.ledgers
+        return self.batches, self.terminal
 
     # -- dispatch decisions -----------------------------------------------
 
@@ -1177,15 +1157,10 @@ class _OnlinePlanner:
             self._unsealed.append(batch.batch_id)
         if tracer is not None:
             tracer.counter("queue.depth", cycle, depth=len(self.queue))
-        ledger = self.ledgers[target]
-        ledger.jobs += completed
-        ledger.batches += 1
-        ledger.busy_cycles += batch.end_cycle - start
         if fail_cycle is None:
             self._free_at[target] = finish
             self._schedule_wake(target, finish)
             return True
-        ledger.failures += 1
         for entry in entries[completed:]:
             attempts = entry.attempts + 1
             if attempts > scheduler.max_retries:
@@ -1214,7 +1189,6 @@ class _OnlinePlanner:
         if resume is None:
             # Permanent death: the worker leaves the wake cycle for good
             # and _place never considers it again.
-            ledger.alive = False
             self._free_at[target] = fail_cycle
             self._idle.discard(target)
         else:
@@ -1282,10 +1256,8 @@ class AsyncGemmScheduler:
         ``"priced"`` (default) places each batch on the worker with the
         soonest estimated finish, pricing every (job-shape, worker-class)
         pair through the shared estimate cache; ``"random"`` assigns
-        uniformly at random (the baseline heterogeneous placement is
-        benchmarked against).
-    placement_seed:
-        Seed for the ``"random"`` placement baseline (ignored otherwise).
+        uniformly at random from seed 0 (the baseline heterogeneous
+        placement is benchmarked against).
     fault_plan:
         Optional :class:`repro.serve.faults.FaultPlan` of scripted worker
         faults on the simulated clock (permanent deaths, transient
@@ -1356,7 +1328,6 @@ class AsyncGemmScheduler:
         clock_hz: float = DEFAULT_CLOCK_HZ,
         batch_window_cycles: int | None = None,
         placement: str = PLACEMENT_PRICED,
-        placement_seed: int = 0,
         fault_plan: FaultPlan | None = None,
         max_retries: int = 2,
         ordering: str = ORDERING_FAIR,
@@ -1409,7 +1380,6 @@ class AsyncGemmScheduler:
         self.clock_hz = clock_hz
         self.batch_window_cycles = batch_window_cycles
         self.placement = placement
-        self.placement_seed = placement_seed
         self.fault_plan = fault_plan
         self.fault_injector = (
             FaultInjector(fault_plan, len(fleet))
@@ -1632,7 +1602,7 @@ class AsyncGemmScheduler:
             stream = self._open_stream()
             self._stream = None
         try:
-            batches, terminal, ledgers = stream.planner.finish()
+            batches, terminal = stream.planner.finish()
             self._launch_planned(stream)
             batch_runs = [future.result() for future in stream.futures]
         finally:
@@ -1640,7 +1610,6 @@ class AsyncGemmScheduler:
         return self._assemble(
             batches,
             terminal,
-            ledgers,
             batch_runs,
             tenants=stream.planner.tenants,
             wall_seconds=time.perf_counter() - stream.wall_start,
@@ -1736,7 +1705,6 @@ class AsyncGemmScheduler:
         self,
         batches: list[_ScheduledBatch],
         terminal: list[JobResult],
-        ledgers: dict[int, _WorkerLedger],
         batch_runs: Sequence[Sequence[RunResult]],
         *,
         tenants: set[str],
@@ -1808,25 +1776,29 @@ class AsyncGemmScheduler:
             disk_before.skipped + disk_before.stale
         )
         makespan = max((batch.end_cycle for batch in batches), default=0)
-        worker_stats = [
-            WorkerStats(
-                worker_id=ledger.worker_id,
-                jobs=ledger.jobs,
-                batches=ledger.batches,
-                busy_cycles=ledger.busy_cycles,
-                utilization=ledger.busy_cycles / makespan if makespan else 0.0,
-                worker_class=self.worker_class(ledger.worker_id),
-                failures=ledger.failures,
-                # A worker is reported dead once its scripted death falls
-                # inside the run, whether or not a batch was cut by it.
-                alive=ledger.alive
-                and (
-                    self.fault_injector is None
-                    or self.fault_injector.alive(ledger.worker_id, makespan)
-                ),
+        worker_stats = []
+        for worker_id in range(len(self.fleet)):
+            own = [batch for batch in batches if batch.worker_id == worker_id]
+            busy = sum(batch.end_cycle - batch.start_cycle for batch in own)
+            worker_stats.append(
+                WorkerStats(
+                    worker_id=worker_id,
+                    jobs=sum(batch.completed_count for batch in own),
+                    batches=len(own),
+                    busy_cycles=busy,
+                    utilization=busy / makespan if makespan else 0.0,
+                    worker_class=self.worker_class(worker_id),
+                    # Cut by a fault, not by a preemption.
+                    failures=sum(
+                        batch.fail_cycle is not None and not batch.preempted
+                        for batch in own
+                    ),
+                    # A worker is reported dead once its scripted death falls
+                    # inside the run, whether or not a batch was cut by it.
+                    alive=self.fault_injector is None
+                    or self.fault_injector.alive(worker_id, makespan),
+                )
             )
-            for ledger in ledgers.values()
-        ]
         report = compile_serve_report(
             results,
             workers=worker_stats,

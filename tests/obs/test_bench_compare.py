@@ -27,13 +27,12 @@ PAYLOAD = {
 
 
 class TestArtifactSchema:
-    def test_envelope_keeps_legacy_keys(self):
+    def test_envelope_is_the_schema_keys_only(self):
         artifact = bench_artifact("demo", {"seed": 0}, PAYLOAD)
         assert artifact["schema_version"] == SCHEMA_VERSION
-        assert all(key in artifact for key in SCHEMA_KEYS)
-        # Legacy readers keep working: the payload stays at top level.
-        assert artifact["serial"]["jobs_per_second"] == 100.0
-        assert artifact["throughput_ratio"] == 4.0
+        # The payload survives only as the flat metrics section.
+        assert set(artifact) == set(SCHEMA_KEYS)
+        assert artifact["config"] == {"seed": 0}
 
     def test_metrics_section_is_flat_numeric(self):
         artifact = bench_artifact("demo", {"seed": 0}, PAYLOAD)
@@ -46,14 +45,16 @@ class TestArtifactSchema:
         )
         assert flat == {"a.b": 2, "list.0": 1}
 
-    def test_normalize_reads_both_vintages(self):
-        schema = normalize_artifact(bench_artifact("demo", {}, PAYLOAD))
-        legacy = normalize_artifact(dict(PAYLOAD))
-        assert schema == legacy
+    def test_normalize_refuses_a_bare_payload(self):
+        with pytest.raises(ValueError, match="not a schema-v1") as error:
+            normalize_artifact(dict(PAYLOAD))
+        assert "schema_version" in str(error.value)
 
-    def test_legacy_params_block_is_config_not_metrics(self):
-        legacy = {"params": {"seed": 0, "tenants": 4}, "speedup": 3.0}
-        assert normalize_artifact(legacy) == {"speedup": 3.0}
+    def test_load_artifact_refuses_a_payload_file(self, tmp_path):
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps({"params": {"seed": 0}, "speedup": 3.0}))
+        with pytest.raises(ValueError, match="payload.json: not a schema-v1"):
+            load_artifact(path)
 
     def test_load_artifact_round_trip(self, tmp_path):
         path = tmp_path / "demo.json"

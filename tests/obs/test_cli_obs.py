@@ -52,8 +52,8 @@ class TestServeTrace:
         assert payload["trace"]["format"] == "jsonl"
         assert payload["trace"]["path"] == str(path)
         assert payload["trace"]["events"] > 0
-        # --json reports embed the stable metrics registry section.
-        assert "metrics" in payload["report"] or "metrics" in payload
+        # The report is the one record of the run: no metrics copy.
+        assert "metrics" not in payload["report"]
 
 
 class TestTraceSummarize:
@@ -149,17 +149,21 @@ class TestBenchCompare:
         assert main(["bench", "compare", good, str(bad)]) == 2
         assert "broken.json" in capsys.readouterr().err
 
-    def test_legacy_artifact_compares_against_schema_v1(self, tmp_path, capsys):
-        legacy = tmp_path / "legacy.json"
-        legacy.write_text(json.dumps({"batched": {"jobs_per_second": 400.0}}))
+    def test_non_schema_artifact_exits_2(self, tmp_path, capsys):
+        payload = tmp_path / "payload.json"
+        payload.write_text(json.dumps({"batched": {"jobs_per_second": 400.0}}))
         new = self._write(
-            tmp_path / "new.json", {"batched": {"jobs_per_second": 100.0}},
-            bench="legacy",
+            tmp_path / "new.json", {"batched": {"jobs_per_second": 100.0}}
         )
-        code = main(["bench", "compare", str(legacy), str(new),
+        code = main(["bench", "compare", str(payload), new,
                      "--fail-on", "*jobs_per_second:5%"])
-        assert code == 1
-        capsys.readouterr()
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # One line, naming the refused file.
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("repro bench compare: ")
+        assert "payload.json: not a schema-v1 benchmark artifact" in captured.err
 
 
 @pytest.mark.parametrize("command", [["trace"], ["bench"]])

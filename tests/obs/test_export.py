@@ -1,4 +1,4 @@
-"""Tracer primitives, both export formats, and the metrics registry."""
+"""Tracer primitives and both export formats."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ import pytest
 
 from repro.obs import (
     WALL_CATEGORY,
-    Histogram,
-    MetricsRegistry,
     TraceEvent,
     Tracer,
     chrome_trace,
@@ -188,44 +186,3 @@ def test_writer_memory_does_not_grow_with_the_trace(tmp_path, writer):
     # that built every record first peaks at several times the file, and
     # one that joined the whole text at its size or more.
     assert peak <= path.stat().st_size / 4
-
-
-class TestMetricsRegistry:
-    def test_counter_rejects_decrease(self):
-        registry = MetricsRegistry()
-        registry.counter("retries").add(2)
-        with pytest.raises(ValueError, match="cannot decrease"):
-            registry.counter("retries").add(-1)
-
-    def test_histogram_bins_are_exact_integers(self):
-        with pytest.raises(ValueError, match="exact ints"):
-            Histogram("latency", (1, 2.5))  # type: ignore[arg-type]
-        with pytest.raises(ValueError, match="increase"):
-            Histogram("latency", (4, 4))
-
-    def test_histogram_overflow_bin(self):
-        hist = Histogram("batch", (1, 2, 4))
-        for value in (1, 2, 2, 3, 100):
-            hist.observe(value)
-        assert hist.counts == [1, 2, 1, 1]
-        assert hist.total == 5
-
-    def test_histogram_edge_conflict_detected(self):
-        registry = MetricsRegistry()
-        registry.histogram("batch", (1, 2))
-        with pytest.raises(ValueError, match="already registered"):
-            registry.histogram("batch", (1, 4))
-
-    def test_to_dict_is_byte_stable(self):
-        def build() -> MetricsRegistry:
-            registry = MetricsRegistry()
-            registry.counter("z").add(1)
-            registry.counter("a").add(2)
-            registry.gauge("g").set(1.5)
-            registry.histogram("h", (10,)).observe(3)
-            return registry
-
-        first = json.dumps(build().to_dict(), sort_keys=True)
-        second = json.dumps(build().to_dict(), sort_keys=True)
-        assert first == second
-        assert list(build().to_dict()["counters"]) == ["a", "z"]

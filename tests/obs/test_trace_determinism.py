@@ -84,16 +84,17 @@ class TestTraceMatchesReport:
         traced_ids = {dict(e.args)["job_id"] for e in completed}
         assert traced_ids == {result.job_id for result in results}
 
-    def test_report_metrics_section_is_stable(self, jobs, traced_serve):
+    def test_report_is_stable_across_runs(self, jobs, traced_serve):
         _, first_report, _ = traced_serve(jobs)
         _, second_report, _ = traced_serve(jobs)
-        first = first_report.to_dict()["metrics"]
-        second = second_report.to_dict()["metrics"]
-        # Counters and histograms ride the simulated clock — identical
-        # runs serialize identically (gauges include wall-clock-derived
-        # throughput, so compare the deterministic sections).
-        assert first["counters"] == second["counters"]
-        assert first["histograms"] == second["histograms"]
+        first = first_report.to_dict()
+        second = second_report.to_dict()
+        # Everything but the host wall time rides the simulated clock, and
+        # both runs start from a cold estimate cache — identical runs
+        # serialize identically.
+        first.pop("wall_seconds")
+        second.pop("wall_seconds")
+        assert first == second
 
     def test_tracer_absent_leaves_report_unchanged(self, jobs, traced_serve):
         from repro.api import SystolicAccelerator

@@ -62,7 +62,7 @@ class TestCli:
         from repro.engine import estimate_cache_info
 
         assert main(["runtime", "--m", "32", "--k", "32", "--n", "32"]) == 0
-        assert main(["cache", "--clear-cache"]) == 0
+        assert main(["cache", "--clear"]) == 0
         assert "estimate cache cleared" in capsys.readouterr().out
         assert estimate_cache_info().currsize == 0
 
@@ -308,9 +308,12 @@ class TestCachePersistenceCli:
         assert f"estimate store cleared: {path}" in out
         assert os.path.getsize(path) == 0
 
-    def test_cache_clear_cache_alias_still_works(self, capsys):
-        assert main(["cache", "--clear-cache"]) == 0
-        assert "estimate cache cleared" in capsys.readouterr().out
+    def test_clear_cache_alias_is_gone(self, capsys):
+        # --clear is the one spelling; the deprecated alias was removed.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cache", "--clear-cache"])
+        assert exit_info.value.code == 2
+        assert "--clear-cache" in capsys.readouterr().err
 
     def test_cache_malformed_store_is_a_clean_error(self, capsys, tmp_path):
         assert main(["cache", "--store", str(tmp_path)]) == 2

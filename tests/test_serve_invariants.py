@@ -84,8 +84,7 @@ def _run(scenario: ServeScenario, jobs):
 def _comparable_report(report) -> dict:
     payload = report.to_dict()
     for key in ("wall_seconds", "cache_hits", "cache_misses",
-                "cache_hit_rate", "cache_evictions", "cache_classes",
-                "metrics"):
+                "cache_hit_rate", "cache_evictions", "cache_classes"):
         payload.pop(key, None)
     return payload
 

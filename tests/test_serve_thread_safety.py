@@ -36,7 +36,7 @@ def _trace(config, seed):
 def _comparable(report):
     payload = report.to_dict()
     for key in ("wall_seconds", "cache_hits", "cache_misses", "cache_hit_rate",
-                "cache_evictions", "cache_classes", "metrics"):
+                "cache_evictions", "cache_classes"):
         payload.pop(key)
     return payload
 
