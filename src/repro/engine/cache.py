@@ -8,11 +8,16 @@ workload appears in several figures and every array size revisits every
 workload).  This module provides the process-wide memo the sweeps, the
 accelerator façades and the serving subsystem (:mod:`repro.serve`, whose
 admission controller prices every job through it) share; long-lived
-processes can observe its hit rate via :func:`estimate_cache_info` (also
+processes can read its hit rate from :func:`estimate_cache_info` (also
 exposed as the ``repro cache`` CLI subcommand), reset it with
 :func:`clear_estimate_cache`, and bound its footprint with
 :func:`set_estimate_cache_capacity` or the ``REPRO_ESTIMATE_CACHE_CAPACITY``
 environment variable.
+
+The memo only counts; it knows nothing of tracing.  A serving run
+snapshots the counters when its stream opens and when it drains, and the
+difference becomes its report's cache fields and its trace's one
+``cache`` counter sample — process-wide lookups, whoever made them.
 
 The memo is a thread-safe LRU (:class:`LRUEstimateCache`) rather than a
 ``functools.lru_cache`` so a serving process that lives for days can tune —
@@ -155,23 +160,6 @@ def _capacity_from_env() -> int | None:
     return None if value < 0 else value
 
 
-def _deliver(
-    observer: Callable[[str, Hashable], None] | None,
-    events: list[tuple[str, Hashable]],
-) -> None:
-    """Deliver queued observer events.
-
-    Called after the statistics lock is released, with the observer
-    snapshotted under it — the callback may do arbitrary work (the
-    serving tracer emits events from it) and must never run inside the
-    cache's critical section.
-    """
-    if observer is None:
-        return
-    for event, key in events:
-        observer(event, key)
-
-
 class LRUEstimateCache:
     """A thread-safe LRU memo with a reconfigurable capacity.
 
@@ -190,7 +178,6 @@ class LRUEstimateCache:
         self._disk_hits = 0
         self._disk_misses = 0
         self._groups: dict[tuple[Hashable, ...], list[int]] = {}
-        self._observer: Callable[[str, Hashable], None] | None = None
         self._store: EstimateStore | None = None
         self._capacity = self._validate_capacity(capacity)
 
@@ -199,22 +186,6 @@ class LRUEstimateCache:
         group (lock must be held)."""
         assert self._lock.locked(), "caller must hold the estimate-cache lock"
         return self._groups.setdefault(cache_key_group(key), [0, 0, 0])
-
-    def set_observer(
-        self, observer: Callable[[str, Hashable], None] | None
-    ) -> Callable[[str, Hashable], None] | None:
-        """Install (or clear) the event observer; returns the previous one.
-
-        The observer is called **outside** the statistics lock with
-        ``(event, key)`` where event is ``"hit"``, ``"miss"``,
-        ``"disk_hit"`` or ``"evict"`` — the hook the serving tracer uses
-        to turn cache activity into trace events.  Uncounted lookups
-        (``memoize(..., count=False)``) do not notify.
-        """
-        with self._lock:
-            previous = self._observer
-            self._observer = observer
-            return previous
 
     def set_store(self, store: EstimateStore | None) -> EstimateStore | None:
         """Attach (or detach) the disk persistence layer; returns the old one.
@@ -266,10 +237,10 @@ class LRUEstimateCache:
         executor threads from serialising on the model evaluation.
 
         ``count=False`` performs the lookup (and fill) without touching the
-        hit/miss statistics or notifying the observer — used when a conv
-        miss warms its lowered GEMM's entry, so one conv pricing counts as
-        exactly one lookup rather than inflating the miss denominator with
-        its internal warming read.
+        hit/miss statistics — used when a conv miss warms its lowered
+        GEMM's entry, so one conv pricing counts as exactly one lookup
+        rather than inflating the miss denominator with its internal
+        warming read.
 
         With a persistence layer attached (:meth:`set_store`), an
         in-memory miss probes the disk store before computing.  A disk
@@ -279,99 +250,66 @@ class LRUEstimateCache:
         the LRU; a disk miss computes as before and appends the value to
         the journal for future processes.
         """
-        notify: list[tuple[str, Hashable]] = []
-        cached: int | None = None
-        hit = False
         with self._lock:
-            observer = self._observer
             store = self._store
             if key in self._entries:
                 if count:
                     self._hits += 1
                     self._group_stats(key)[0] += 1
-                    notify.append(("hit", key))
                 self._entries.move_to_end(key)
-                cached = self._entries[key]
-                hit = True
-        _deliver(observer, notify)
-        if hit:
-            assert cached is not None  # set on the hit path above
-            return cached
+                return self._entries[key]
         # In-memory miss: consult the disk layer (off-lock — the store has
         # its own lock and may read the journal on first touch).
         if store is not None:
             stored = store.get(key)
             if stored is not None:
-                notify = []
                 with self._lock:
-                    observer = self._observer
                     if count:
                         self._hits += 1
                         self._disk_hits += 1
                         self._group_stats(key)[0] += 1
-                        notify.append(("disk_hit", key))
                     if self._capacity != 0:
                         self._entries[key] = stored
                         self._entries.move_to_end(key)
-                        for evicted in self._evict():
-                            notify.append(("evict", evicted))
-                _deliver(observer, notify)
+                        self._evict()
                 return stored
-        notify = []
         with self._lock:
-            observer = self._observer
             if count:
                 self._misses += 1
                 if store is not None:
                     self._disk_misses += 1
                 self._group_stats(key)[1] += 1
-                notify.append(("miss", key))
-        _deliver(observer, notify)
         value = compute()
         if store is not None:
             # Append-through: persist before publishing in memory, so a
             # crash between the two costs a duplicate append, never a
             # memory entry the journal missed.
             store.put(key, value)
-        notify = []
         with self._lock:
-            observer = self._observer
             if self._capacity != 0:
                 self._entries[key] = value
                 self._entries.move_to_end(key)
-                for evicted in self._evict():
-                    notify.append(("evict", evicted))
-        _deliver(observer, notify)
+                self._evict()
         return value
 
-    def _evict(self) -> list[Hashable]:
-        """Drop LRU entries until the bound holds (lock must be held).
+    def _evict(self) -> None:
+        """Drop (and count) LRU entries until the bound holds.
 
-        Returns the evicted keys so the caller can notify the observer
-        after releasing the lock.
+        The lock must be held.  At capacity 0 every entry goes.
         """
         assert self._lock.locked(), "caller must hold the estimate-cache lock"
-        evicted: list[Hashable] = []
         if self._capacity is None:
-            return evicted
+            return
         while len(self._entries) > self._capacity:
             key, _ = self._entries.popitem(last=False)
             self._group_stats(key)[2] += 1
-            evicted.append(key)
-        return evicted
 
     def resize(self, capacity: int | None) -> None:
         """Change the capacity in place, evicting LRU entries if shrinking."""
         capacity = self._validate_capacity(capacity)
-        notify: list[tuple[str, Hashable]] = []
         with self._lock:
-            observer = self._observer
             self._capacity = capacity
-            if capacity == 0:
-                self._entries.clear()
-            else:
-                notify = [("evict", key) for key in self._evict()]
-        _deliver(observer, notify)
+            self._evict()
 
     def clear(self) -> None:
         """Drop every entry and reset the hit/miss/eviction counters.
@@ -716,18 +654,6 @@ def estimate_store() -> EstimateStore | None:
 def estimate_cache_disk_info() -> DiskCacheInfo:
     """Disk-layer statistics of the shared memo (see :class:`DiskCacheInfo`)."""
     return _ESTIMATE_CACHE.disk_info()
-
-
-def set_estimate_cache_observer(
-    observer: Callable[[str, Hashable], None] | None,
-) -> Callable[[str, Hashable], None] | None:
-    """Install (or clear) the shared memo's hit/miss/evict observer.
-
-    Returns the previously installed observer so callers can restore it —
-    the serving scheduler installs one for the duration of a traced run
-    and puts the old one back when the stream drains.
-    """
-    return _ESTIMATE_CACHE.set_observer(observer)
 
 
 def clear_estimate_cache() -> None:

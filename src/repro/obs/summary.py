@@ -16,7 +16,9 @@
 * **per-SLO-class deadline view** — from the ``slo`` / ``deadline_met`` /
   ``preemptions`` args on terminal job events, folded by
   :func:`fold_slo_classes`, the same fold
-  :func:`repro.serve.report.compile_serve_report` feeds its job results.
+  :func:`repro.serve.report.compile_serve_report` feeds its job results;
+* **estimate-cache outcome** — the run's single ``cache`` counter sample,
+  which holds the report's cache deltas.
 
 The per-tenant p50/p95 use :func:`repro.analysis.latency.summarize_latencies`
 — the identical percentile definition ``ServeReport`` quotes — so numbers
@@ -54,6 +56,9 @@ TERMINAL_EVENTS = (
     "job.expired",
     "job.shed",
 )
+
+#: The estimate-cache counts the run's ``cache`` counter sample carries.
+_CACHE_COUNTS = ("hit", "miss", "evict", "disk_hit")
 
 #: The counters :func:`fold_slo_classes` keeps per SLO class.
 _SLO_COUNTERS = (
@@ -205,14 +210,11 @@ def _slo_views(events: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:
 
 
 def _cache_view(events: list[dict[str, Any]]) -> dict[str, int]:
-    counts = {"hit": 0, "miss": 0, "evict": 0, "disk_hit": 0}
+    """The run's one ``cache`` counter sample (zeros when absent)."""
     for event in events:
-        name = str(event.get("name", ""))
-        if name.startswith("cache."):
-            kind = name.removeprefix("cache.")
-            if kind in counts:
-                counts[kind] += 1
-    return counts
+        if event.get("ph") == "C" and event.get("name") == "cache":
+            return {kind: int(_arg(event, kind, 0)) for kind in _CACHE_COUNTS}
+    return dict.fromkeys(_CACHE_COUNTS, 0)
 
 
 def _worker_views(events: list[dict[str, Any]]) -> dict[str, dict[str, int]]:

@@ -65,7 +65,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -79,7 +79,6 @@ from repro.engine.cache import (
     estimate_cache_disk_info,
     estimate_cache_group_info,
     estimate_cache_info,
-    set_estimate_cache_observer,
 )
 from repro.engine.scaleout import iter_partition_share_shapes
 from repro.obs.tracer import Tracer
@@ -383,39 +382,8 @@ class _OnlinePlanner:
         # Only the "random" placement baseline draws from this (seed 0);
         # the priced policy is deterministic without it.
         self._rng = np.random.default_rng(0)
-        # Tracing state: ``_trace_cycle`` is the simulated instant cache
-        # hit/miss/evict events are stamped with (pricing has no cycle of
-        # its own — it happens "at" the admission or wake that asked).
-        self._trace_cycle = 0
-        self._cache_observer_installed = False
-        self._prev_cache_observer: Callable[[str, Hashable], None] | None = None
         if self.tracer is not None:
-            if self.injector is not None:
-                self.injector.emit_plan(self.tracer, scheduler._track)
-            # Observe the shared estimate cache for the lifetime of this
-            # planner.  Cache traffic only happens from the planner's own
-            # deterministic sections (admission pricing, placement), so the
-            # event order is reproducible; the previous observer (if any)
-            # is restored on finish().
-            self._prev_cache_observer = set_estimate_cache_observer(
-                self._on_cache_event
-            )
-            self._cache_observer_installed = True
-
-    def _on_cache_event(self, kind: str, key: Hashable) -> None:
-        """Forward one estimate-cache hit/miss/evict into the trace."""
-        tracer = self.tracer
-        if tracer is None:
-            return
-        family = key[0] if isinstance(key, tuple) and key else "other"
-        tracer.instant(f"cache.{kind}", self._trace_cycle, family=str(family))
-
-    def _restore_cache_observer(self) -> None:
-        """Detach from the shared estimate cache (idempotent)."""
-        if self._cache_observer_installed:
-            self._cache_observer_installed = False
-            set_estimate_cache_observer(self._prev_cache_observer)
-            self._prev_cache_observer = None
+            self.injector.emit_plan(self.tracer, scheduler._track)
 
     # -- event plumbing ---------------------------------------------------
 
@@ -493,9 +461,7 @@ class _OnlinePlanner:
     def _notify_work(self, entry_cycle: int, shape: tuple[int, int, int]) -> None:
         """Wake idle (alive) workers and close filled batching windows."""
         for worker_id in sorted(self._idle):
-            if self.injector is not None and not self.injector.alive(
-                worker_id, entry_cycle
-            ):
+            if not self.injector.alive(worker_id, entry_cycle):
                 continue
             self._schedule_wake(
                 worker_id, max(self._free_at[worker_id], entry_cycle)
@@ -511,8 +477,6 @@ class _OnlinePlanner:
 
     def _no_alive_workers(self, cycle: int) -> bool:
         """Whether every fleet member has permanently died by ``cycle``."""
-        if self.injector is None:
-            return False
         return all(
             not self.injector.alive(worker_id, cycle)
             for worker_id in range(len(self._s.fleet))
@@ -736,7 +700,6 @@ class _OnlinePlanner:
         self._advance(job.arrival_cycle)
         entry_cycle = max(job.arrival_cycle, self.horizon)
         self.horizon = entry_cycle
-        self._trace_cycle = entry_cycle
         if self.tracer is not None:
             self.tracer.instant(
                 "job.arrival",
@@ -853,14 +816,12 @@ class _OnlinePlanner:
                 self._terminal_entry(
                     entry, STATUS_FAILED, self.horizon, entry.attempts
                 )
-            self._restore_cache_observer()
         return self.batches, self.terminal
 
     # -- dispatch decisions -----------------------------------------------
 
     def _on_wake(self, worker_id: int, cycle: int) -> None:
         scheduler = self._s
-        self._trace_cycle = cycle
         if scheduler.enforce_deadlines:
             self._expire_queued(cycle)
         while True:
@@ -917,8 +878,6 @@ class _OnlinePlanner:
         """
         start = max(self._free_at[worker_id], cycle)
         injector = self.injector
-        if injector is None:
-            return start
         while True:
             until = injector.unavailable_until(worker_id, start)
             if until is None:
@@ -1035,15 +994,11 @@ class _OnlinePlanner:
         finishes late under ``enforce_deadlines``.
         """
         scheduler = self._s
-        injector = self.injector
         kept: list[QueuedJob] = []
         elapsed = start
         for entry in entries:
-            planned = scheduler.planned_job_cycles(entry.job, target)
-            duration = (
-                planned
-                if injector is None
-                else injector.stretch(target, start, planned)
+            duration = self.injector.stretch(
+                target, start, scheduler.planned_job_cycles(entry.job, target)
             )
             deadline = entry.deadline_cycle
             if deadline is not None and elapsed + duration > deadline:
@@ -1061,7 +1016,6 @@ class _OnlinePlanner:
         the caller should retry against the shrunken queue.
         """
         scheduler = self._s
-        self._trace_cycle = cycle
         # Adaptive batch bound: a batch occupies its worker for the sum of
         # its jobs' cycles, so hoarding the whole backlog would idle the
         # siblings that free up mid-batch and stretch the makespan.  Cap
@@ -1080,15 +1034,10 @@ class _OnlinePlanner:
         job_cycles = tuple(
             scheduler.planned_job_cycles(entry.job, target) for entry in entries
         )
-        injector = self.injector
-        if injector is None:
-            service_cycles = job_cycles
-            failure = None
-        else:
-            service_cycles = tuple(
-                injector.stretch(target, start, cycles) for cycles in job_cycles
-            )
-            failure = injector.next_failure(target, start)
+        service_cycles = tuple(
+            self.injector.stretch(target, start, cycles) for cycles in job_cycles
+        )
+        failure = self.injector.next_failure(target, start)
         finish = start + sum(service_cycles)
         fail_cycle: int | None = None
         resume: int | None = None
@@ -1215,8 +1164,7 @@ class _StreamState:
     futures: list = field(default_factory=list)
 
     def close(self) -> None:
-        """Detach from the estimate cache and join the numerics pool."""
-        self.planner._restore_cache_observer()
+        """Join the numerics pool."""
         self.pool.shutdown(wait=True)
 
 
@@ -1309,12 +1257,14 @@ class AsyncGemmScheduler:
     tracer:
         Optional :class:`repro.obs.tracer.Tracer`.  When attached, the
         planner emits the full simulated-clock event stream (job
-        lifecycle, batch spans, queue depth, cache hit/miss/evict, fault
-        plan) into it; ``None`` (default) keeps every emission site a
-        single ``is not None`` check.  Traces are deterministic: two
-        same-seed runs emit byte-identical event streams, and ``serve()``
-        on any order of the same jobs emits an event-for-event identical
-        trace (given identical estimate-cache starting state).
+        lifecycle, batch spans, queue depth, fault plan) into it, and
+        ``drain()`` closes it with one ``cache`` counter sample at the
+        makespan holding the report's estimate-cache deltas; ``None``
+        (default) keeps every emission site a single ``is not None``
+        check.  Traces are deterministic: two same-seed runs emit
+        byte-identical event streams, and ``serve()`` on any order of the
+        same jobs emits an event-for-event identical trace.  Only the
+        ``cache`` sample depends on the estimate cache's starting state.
     """
 
     def __init__(
@@ -1381,10 +1331,10 @@ class AsyncGemmScheduler:
         self.batch_window_cycles = batch_window_cycles
         self.placement = placement
         self.fault_plan = fault_plan
-        self.fault_injector = (
-            FaultInjector(fault_plan, len(fleet))
-            if fault_plan is not None and fault_plan.faults
-            else None
+        # An empty plan reports every worker healthy at every cycle, so
+        # fault-free runs consult the same injector.
+        self.fault_injector = FaultInjector(
+            FaultPlan() if fault_plan is None else fault_plan, len(fleet)
         )
         self.max_retries = max_retries
         self.ordering = ordering
@@ -1795,8 +1745,7 @@ class AsyncGemmScheduler:
                     ),
                     # A worker is reported dead once its scripted death falls
                     # inside the run, whether or not a batch was cut by it.
-                    alive=self.fault_injector is None
-                    or self.fault_injector.alive(worker_id, makespan),
+                    alive=self.fault_injector.alive(worker_id, makespan),
                 )
             )
         report = compile_serve_report(
@@ -1820,12 +1769,19 @@ class AsyncGemmScheduler:
             max_retries=self.max_retries,
             ordering=self.ordering,
             max_preemptions=self.max_preemptions,
-            faults=(
-                self.fault_plan.spec()
-                if self.fault_plan is not None and self.fault_plan.faults
-                else None
-            ),
+            faults=self.fault_injector.plan.spec() or None,
         )
+        if tracer is not None:
+            # The run's estimate-cache outcome, recorded once: the report's
+            # process-wide deltas, with disk hits split out of the hits.
+            tracer.counter(
+                "cache",
+                makespan,
+                hit=report.cache_hits - report.cache_disk_hits,
+                miss=report.cache_misses,
+                evict=report.cache_evictions,
+                disk_hit=report.cache_disk_hits,
+            )
         results.sort(key=lambda item: item.job_id)
         return report, results
 

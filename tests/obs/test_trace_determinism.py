@@ -1,17 +1,23 @@
 """Trace determinism — the acceptance criteria of the observability layer.
 
 Same seed, same trace: byte-identical Chrome exports; a hand-driven
-``submit()``/``drain()`` stream replays ``serve()`` event for event; and
-every number derived
-from a trace (per-tenant p95, cache hit/miss/evict, terminal accounting)
-matches the ``ServeReport`` of the run that produced it exactly.
+``submit()``/``drain()`` stream replays ``serve()`` event for event; two
+traced streams interleaved in one thread each record only their own run;
+and every number derived from a trace (per-tenant p95, cache
+hit/miss/evict, terminal accounting) matches the ``ServeReport`` of the
+run that produced it exactly.
 """
 
 from __future__ import annotations
 
 import json
 
-from repro.obs import chrome_trace, summarize_trace
+from repro.api import SystolicAccelerator
+from repro.arch.array_config import ArrayConfig
+from repro.arch.dataflow import Dataflow
+from repro.engine.cache import cached_gemm_cycles, clear_estimate_cache
+from repro.obs import Tracer, chrome_trace, summarize_trace
+from repro.serve import AsyncGemmScheduler
 
 
 def _chrome_bytes(tracer) -> str:
@@ -108,3 +114,50 @@ class TestTraceMatchesReport:
         untraced_report, _ = AsyncGemmScheduler(fleet, max_batch=4).serve(jobs)
         assert traced_report.makespan_cycles == untraced_report.makespan_cycles
         assert traced_report.jobs_completed == untraced_report.jobs_completed
+
+
+class TestInterleavedStreams:
+    """Two traced schedulers whose ``submit()`` streams interleave in one
+    thread: each trace holds its own run and its own report's cache counts,
+    and neither keeps recording once drained."""
+
+    @staticmethod
+    def _scheduler(rows: int) -> AsyncGemmScheduler:
+        fleet = [SystolicAccelerator(ArrayConfig(rows, rows)) for _ in range(2)]
+        return AsyncGemmScheduler(fleet, max_batch=4, tracer=Tracer())
+
+    @staticmethod
+    def _non_cache_events(scheduler: AsyncGemmScheduler) -> list:
+        return [e for e in scheduler.tracer.events if e.name != "cache"]
+
+    def test_each_trace_records_only_its_own_run(self, jobs):
+        ordered = sorted(jobs, key=lambda job: (job.arrival_cycle, job.job_id))
+        sizes = (16, 8)
+        solo = {}
+        for rows in sizes:
+            clear_estimate_cache()
+            scheduler = self._scheduler(rows)
+            scheduler.serve(ordered)
+            solo[rows] = self._non_cache_events(scheduler)
+
+        clear_estimate_cache()
+        streams = {rows: self._scheduler(rows) for rows in sizes}
+        for job in ordered:
+            for scheduler in streams.values():
+                scheduler.submit(job)
+        reports = {rows: scheduler.drain()[0] for rows, scheduler in streams.items()}
+
+        for rows, scheduler in streams.items():
+            assert self._non_cache_events(scheduler) == solo[rows]
+            report = reports[rows]
+            assert _summary(scheduler.tracer)["cache"] == {
+                "hit": report.cache_hits - report.cache_disk_hits,
+                "miss": report.cache_misses,
+                "evict": report.cache_evictions,
+                "disk_hit": report.cache_disk_hits,
+            }
+
+        counts = [len(s.tracer.events) for s in streams.values()]
+        for _ in range(2):
+            cached_gemm_cycles(24, 24, 24, 16, 16, Dataflow.OUTPUT_STATIONARY, False)
+        assert [len(s.tracer.events) for s in streams.values()] == counts

@@ -29,7 +29,6 @@ from repro.engine import (
     estimate_cache_info,
     gemm_estimate_key,
     set_estimate_cache_capacity,
-    set_estimate_cache_observer,
 )
 from repro.im2col.lowering import ConvShape, lower_conv_to_gemm
 
@@ -206,6 +205,19 @@ class TestCapacityConfiguration:
         assert (after.hits, after.misses) == (before.hits, before.misses)
         assert after.currsize == 2 and after.maxsize == 2
 
+    def test_resize_to_zero_counts_the_entries_it_drops(self):
+        for dim in (10, 20, 30, 40, 50):
+            _lookup(shape=(dim, dim, dim))
+
+        def evictions():
+            return sum(g.evictions for g in estimate_cache_group_info().values())
+
+        set_estimate_cache_capacity(2)
+        assert evictions() == 3
+        set_estimate_cache_capacity(0)
+        assert evictions() == 5
+        assert estimate_cache_info().currsize == 0
+
     def test_zero_capacity_disables_caching(self):
         set_estimate_cache_capacity(0)
         _lookup()
@@ -297,28 +309,6 @@ class TestGroupStatsAndObserver:
         cache = LRUEstimateCache(4)
         cache.memoize(("ad-hoc", 1), lambda: 7)
         assert cache.info_by_group() == {("other",): (0, 1, 0)}
-
-    def test_observer_sees_hit_miss_evict_but_not_uncounted_warm(self):
-        events = []
-        previous = set_estimate_cache_observer(
-            lambda kind, key: events.append((kind, key[0]))
-        )
-        try:
-            assert previous is None
-            set_estimate_cache_capacity(2)
-            _conv_lookup()  # conv miss; GEMM warm is uncounted -> silent
-            _conv_lookup()  # conv hit
-            _lookup(shape=(10, 10, 10))  # miss, evicts the LRU entry
-            kinds = [kind for kind, _ in events]
-            assert kinds == ["miss", "hit", "miss", "evict"]
-            assert events[0][1] == "conv" and events[2][1] == "gemm"
-        finally:
-            set_estimate_cache_observer(previous)
-
-    def test_observer_restore_returns_current(self):
-        observer = lambda kind, key: None  # noqa: E731
-        assert set_estimate_cache_observer(observer) is None
-        assert set_estimate_cache_observer(None) is observer
 
 
 class TestLRUEstimateCacheUnit:

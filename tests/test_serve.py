@@ -27,7 +27,6 @@ from repro.engine import (
     clear_estimate_cache,
     detach_estimate_store,
 )
-from repro.engine.cache import set_estimate_cache_observer
 from repro.obs import Tracer
 from repro.serve import (
     POLICY_REJECT,
@@ -510,17 +509,8 @@ class TestAsyncGemmScheduler:
         # "b" is submitted (and "a" dispatched onto the pool) before the
         # second "b" fails, so the error lands mid-stream.
         bad = [_job(job_id, "t", 8, 8, 8, rng) for job_id in ("a", "b", "b")]
-
-        def installed(kind, key):
-            pass
-
-        outer = set_estimate_cache_observer(installed)
-        try:
-            with pytest.raises(ValueError, match="duplicate job_id"):
-                scheduler.serve(bad)
-            assert set_estimate_cache_observer(None) is installed
-        finally:
-            set_estimate_cache_observer(outer)
+        with pytest.raises(ValueError, match="duplicate job_id"):
+            scheduler.serve(bad)
         (pool,) = pools
         with pytest.raises(RuntimeError, match="shutdown"):
             pool.submit(int)

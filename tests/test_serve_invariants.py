@@ -14,14 +14,17 @@ hold for *every* configuration:
    ``enforce_deadlines=True`` a hinted job either completes inside its
    deadline or expires; it never completes late.
 4. **Order independence and determinism** — a second ``serve()`` of the
-   *reversed* job list reproduces the first run result-for-result,
-   report-for-report and trace event-for-event (estimate-cache events
-   excluded: the cache is process global, so its hit/miss pattern is the
-   one legitimately run-order dependent piece of a trace).
+   *reversed* job list, also from a cold estimate cache, reproduces the
+   first run result-for-result, report-for-report and trace
+   event-for-event.
 5. **Preemption budget** — no job is displaced more than
    ``max_preemptions`` times.
 6. **Monotone simulated clock** — per-worker ``batch.execute`` spans
    never overlap or run backwards, and no job resolves before it arrives.
+7. **Trace summary equals report** — ``summarize_trace`` over the run's
+   events reproduces the report's batch occupancy, per-tenant terminal
+   counts and p50/p95, SLO table, per-worker batches and busy cycles, and
+   estimate-cache counts.
 
 Cases are addressed by ``(seed, case)``; the harness appends each case's
 reproduction line to a seed log (``SERVE_INVARIANTS_LOG``, default
@@ -42,7 +45,7 @@ import numpy as np
 import pytest
 
 from repro.engine.cache import clear_estimate_cache
-from repro.obs import Tracer
+from repro.obs import Tracer, summarize_trace
 from repro.serve import JOB_STATUSES
 from serve_strategies import ServeScenario, random_scenario
 
@@ -83,19 +86,15 @@ def _run(scenario: ServeScenario, jobs):
 
 def _comparable_report(report) -> dict:
     payload = report.to_dict()
-    for key in ("wall_seconds", "cache_hits", "cache_misses",
-                "cache_hit_rate", "cache_evictions", "cache_classes"):
-        payload.pop(key, None)
+    payload.pop("wall_seconds")
     return payload
 
 
 def _comparable_events(tracer: Tracer) -> list[tuple]:
-    """Trace events minus the process-global estimate-cache instants."""
     return [
         (e.name, e.phase, e.cycle, e.duration, e.pid, e.tid, e.category,
          e.args)
         for e in tracer.events
-        if not e.name.startswith("cache.")
     ]
 
 
@@ -171,6 +170,43 @@ def _check_monotone_clock(tracer: Tracer, results) -> None:
             assert r.arrival_cycle <= r.start_cycle <= r.finish_cycle
 
 
+def _check_summary_equals_report(tracer: Tracer, report) -> None:
+    summary = summarize_trace([e.to_dict() for e in tracer.events])
+    payload = report.to_dict()
+    assert summary["batch_occupancy"] == payload["batch_occupancy"]
+    tenants = {t.tenant: t for t in report.tenants}
+    assert set(summary["tenants"]) == set(tenants)
+    for name, view in summary["tenants"].items():
+        stats = tenants[name]
+        assert view["terminal"] == {
+            status: getattr(stats, status)
+            for status in JOB_STATUSES
+            if getattr(stats, status)
+        }, f"{name}: terminal counts differ"
+        if stats.latency is None:
+            assert view["latency"] is None
+        else:
+            assert view["latency"]["p50"] == stats.latency.p50
+            assert view["latency"]["p95"] == stats.latency.p95
+    slo = {view.pop("slo"): view for view in payload["slo_classes"]}
+    assert summary["slo"] == slo
+    class_ids = list(dict.fromkeys(report.fleet))
+    assert summary["workers"] == {
+        f"{class_ids.index(w.worker_class) + 1}:{w.worker_id}": {
+            "batches": w.batches,
+            "busy_cycles": w.busy_cycles,
+        }
+        for w in report.workers
+        if w.batches
+    }
+    assert summary["cache"] == {
+        "hit": report.cache_hits - report.cache_disk_hits,
+        "miss": report.cache_misses,
+        "evict": report.cache_evictions,
+        "disk_hit": report.cache_disk_hits,
+    }
+
+
 @pytest.mark.parametrize("seed", PUBLISHED_SEEDS)
 def test_scheduler_invariants(seed, seed_log):
     observed = {"preemptions": 0, "failed": 0, "expired": 0}
@@ -184,6 +220,7 @@ def test_scheduler_invariants(seed, seed_log):
         _check_no_late_completions(scenario, results)
         _check_preemption_budget(scenario, results)
         _check_monotone_clock(tracer, results)
+        _check_summary_equals_report(tracer, report)
         observed["preemptions"] += sum(r.preemptions for r in results)
         observed["failed"] += sum(r.status == "failed" for r in results)
         observed["expired"] += sum(r.status == "expired" for r in results)
