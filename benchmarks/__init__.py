@@ -1,1 +1,1 @@
-"""Benchmark harness — one module per table/figure of the paper (see DESIGN.md)."""
+"""Benchmark harness — one module per table/figure of the paper."""

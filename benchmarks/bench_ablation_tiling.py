@@ -5,7 +5,7 @@ feeding.
 The first part reproduces the paper's statement that the per-tile improvement
 carries over linearly to scale-out execution; the second brackets the gap
 between the published Table 2 + Eq. 2 model and the larger speedups the
-paper's figures report (see EXPERIMENTS.md).
+paper's figures report.
 """
 
 from __future__ import annotations

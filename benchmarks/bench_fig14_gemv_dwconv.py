@@ -5,7 +5,7 @@ arithmetic-intensity workloads.  Under the published Table 2 + Eq. 2 model
 the depthwise layers (temporal dimension = R*S = 9) approach the model's
 1.5x bound while GEMV stays near 1.0; the tile-overlap execution model (the
 natural consequence of skew-free feeding) is reported alongside as the upper
-bracket — see EXPERIMENTS.md for the discussion.
+bracket — ablation A4 in ``bench_ablation_tiling.py``.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ when a workload maps onto only a fraction of the physical PEs.
 
 The paper compares against CMSA only on PE-utilisation-rate improvement over
 the conventional array (Fig. 13), using the analytical model from the CMSA
-paper.  We reproduce that comparison with the following first-order model,
-documented here and in DESIGN.md:
+paper.  We reproduce that comparison with the following first-order model
+(``benchmarks/bench_fig13_utilization_cmsa.py`` regenerates Fig. 13):
 
 * CMSA keeps the conventional skewed feeding, so the SCALE-sim per-tile
   runtime applies within each sub-array.

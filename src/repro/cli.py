@@ -478,7 +478,11 @@ def _run_serve(args: argparse.Namespace) -> int:
     report, results = scheduler.serve(jobs)
     trace_note = None
     if tracer is not None:
-        trace_format = write_trace(args.trace, tracer)
+        try:
+            trace_format = write_trace(args.trace, tracer)
+        except OSError as error:
+            print(f"repro serve: cannot write --trace file: {error}", file=sys.stderr)
+            return 2
         trace_note = {
             "path": args.trace,
             "format": trace_format,
@@ -504,11 +508,10 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 def _cmd_trace_summarize(args: argparse.Namespace) -> int:
     try:
-        events = load_trace_events(args.trace_file)
+        summary = summarize_trace(load_trace_events(args.trace_file))
     except (OSError, ValueError) as error:
         print(f"repro trace summarize: {error}", file=sys.stderr)
         return 2
-    summary = summarize_trace(events)
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0

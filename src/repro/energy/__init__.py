@@ -7,7 +7,9 @@ per-PE, per-register-bit and per-MUX area/power constants are calibrated so
 that the 16x16 ASAP7 design point reproduces the paper's reported numbers
 (Fig. 10 / Sec. 5.1), and every other configuration (array size, technology
 node, im2col support on/off, Sauria-style feeder) is derived from the same
-constants.  DESIGN.md documents this substitution.
+constants.  ``benchmarks/bench_fig10_hardware_spec.py`` regenerates the
+calibration point and ``benchmarks/bench_fig15_area_power_sauria.py`` the
+derived configurations.
 """
 
 from repro.energy.technology import TechnologyNode, ASAP7, TSMC45, NODES

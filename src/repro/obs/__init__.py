@@ -4,8 +4,8 @@ Two deterministic building blocks, both keyed to the *simulated* clock so
 observing a run never perturbs (or varies with) wall time:
 
 * :mod:`repro.obs.tracer` — :class:`Tracer` records structured span /
-  instant / counter events emitted by the scheduler, queues, fault layer,
-  and estimate cache; ``tracer=None`` keeps the hot path at ~zero cost.
+  instant / counter events, one per scheduling decision, emitted by the
+  serving planner; ``tracer=None`` keeps the hot path at ~zero cost.
   Exports land in Chrome-trace/Perfetto JSON or JSONL
   (:mod:`repro.obs.export`) and reduce to queue-depth / batch-occupancy /
   per-tenant breakdowns (:mod:`repro.obs.summary`).

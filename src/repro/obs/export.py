@@ -130,7 +130,9 @@ def load_trace_events(path: str | Path) -> list[dict[str, object]]:
 
     Metadata/label records are dropped; each returned dict has at least
     ``name``/``ph``/``ts``/``pid``/``tid``/``args`` keys.  Raises
-    ``ValueError`` if the file is neither format.
+    ``ValueError`` if the file is neither format or holds a record that
+    is not a JSON object, naming the file and the line or
+    ``traceEvents`` index.
     """
     text = Path(path).read_text()
     # Chrome traces are one JSON object spanning the whole file; JSONL
@@ -144,6 +146,9 @@ def load_trace_events(path: str | Path) -> list[dict[str, object]]:
         raw = payload.get("traceEvents")
         if not isinstance(raw, list):
             raise ValueError(f"{path}: no traceEvents array")
+        for index, event in enumerate(raw):
+            if not isinstance(event, dict):
+                raise ValueError(f"{path}: traceEvents[{index}] is not a JSON object")
         return [event for event in raw if event.get("ph") != "M"]
     events: list[dict[str, object]] = []
     for line_number, line in enumerate(text.splitlines(), start=1):
@@ -153,6 +158,8 @@ def load_trace_events(path: str | Path) -> list[dict[str, object]]:
             record = json.loads(line)
         except json.JSONDecodeError as error:
             raise ValueError(f"{path}:{line_number}: not JSONL ({error})")
+        if not isinstance(record, dict):
+            raise ValueError(f"{path}:{line_number}: not a JSON object")
         if record.get("type") == "event":
             events.append(record)
     return events

@@ -1,14 +1,14 @@
 """Post-hoc analysis of exported serving traces.
 
 :func:`summarize_trace` reduces the raw event stream (as loaded by
-:func:`repro.obs.export.load_trace_events`) into the three views the
+:func:`repro.obs.export.load_trace_events`) into the views the
 ``repro trace summarize`` subcommand prints:
 
 * **queue-depth time series** — from the ``queue.depth`` counter samples;
 * **batch-occupancy histogram** — executed members per batch, from the
-  ``completed`` count on ``batch.close`` instants (batches a fault or a
+  ``completed`` count on ``batch.execute`` spans (batches a fault or a
   preemption cut before any member ran are skipped);
-* **per-tenant latency breakdown** — from ``job.completed`` instants, with
+* **per-tenant latency breakdown** — from ``job.completed`` args, with
   each completed job's latency split into *queue-wait* (before first
   dispatch, excluding retry waits), *execute* (dispatch → finish), and
   *retry-wait* (queueing re-accumulated after a fault requeue, located via
@@ -27,8 +27,9 @@ pins.
 
 >>> events = [
 ...     {"name": "queue.depth", "ph": "C", "ts": 0, "args": {"depth": 2}},
-...     {"name": "batch.close", "ph": "i", "ts": 9, "args": {"completed": 2}},
-...     {"name": "job.completed", "ph": "i", "ts": 9,
+...     {"name": "batch.execute", "ph": "X", "ts": 0, "dur": 9,
+...      "args": {"completed": 2}},
+...     {"name": "job.completed", "ph": "X", "ts": 5, "dur": 4,
 ...      "args": {"job_id": "t0-j0", "tenant": "t0", "arrival_cycle": 0,
 ...               "latency_cycles": 9, "queue_cycles": 5, "attempts": 1}},
 ... ]
@@ -97,7 +98,7 @@ def _queue_depth_view(events: list[dict[str, Any]]) -> dict[str, Any]:
 def _batch_occupancy_view(events: list[dict[str, Any]]) -> dict[str, int]:
     occupancy: dict[int, int] = defaultdict(int)
     for event in events:
-        if event.get("name") == "batch.close":
+        if event.get("name") == "batch.execute":
             completed = int(_arg(event, "completed", 0))
             if completed:
                 occupancy[completed] += 1

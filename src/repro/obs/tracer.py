@@ -49,7 +49,7 @@ class TraceEvent:
     ``args`` is a key-sorted tuple of pairs so equal payloads compare (and
     serialize) identically.
 
-    >>> TraceEvent("job.queued", "i", 5, args=(("tenant", "t0"),)).cycle
+    >>> TraceEvent("job.requeued", "i", 5, args=(("tenant", "t0"),)).cycle
     5
     """
 
@@ -98,7 +98,7 @@ class Tracer:
     >>> tracer = Tracer()
     >>> tracer.set_process_label(1, "systolic:32x32")
     >>> tracer.set_thread_label(1, 0, "worker 0")
-    >>> tracer.instant("worker.idle", 0, pid=1, tid=0)
+    >>> tracer.instant("worker.fault", 0, pid=1, tid=0)
     >>> len(tracer)
     1
     """

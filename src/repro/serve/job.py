@@ -459,39 +459,35 @@ class JobResult:
             return False
         return self.latency_cycles <= self.deadline_hint_cycles
 
-    def trace_events(self, *, pid: int = 0, tid: int = 0) -> tuple[TraceEvent, ...]:
-        """Canonical trace events for this terminal outcome.
+    def trace_event(self, *, pid: int = 0, tid: int = 0) -> TraceEvent:
+        """Render this terminal outcome as its single trace record.
 
-        The one place a job outcome is rendered into trace form, so the
+        The only place a job outcome is rendered into trace form, so the
         scheduler's emission sites (terminal resolution on the scheduler
         track, completion on the hosting worker's track) cannot drift from
-        each other.  Completed jobs yield a ``job.execute`` span covering
-        ``[start_cycle, finish_cycle)`` plus a ``job.completed`` instant
-        carrying the latency split the trace summarizer consumes; every
-        other status yields a single ``job.<status>`` instant at its
-        ``resolved_cycle``.  All payloads are simulated-clock quantities
-        only — never wall time.
+        each other.  A completed job is a ``job.completed`` span covering
+        ``[start_cycle, finish_cycle)`` whose args carry the latency split
+        the trace summarizer consumes; every other status is a
+        ``job.<status>`` instant at its ``resolved_cycle``.  All payloads
+        are simulated-clock quantities only — never wall time.
 
         >>> done = JobResult(job_id="j0", tenant="t0", name="gemm",
         ...                  status=STATUS_COMPLETED, priced_cycles=90,
         ...                  arrival_cycle=0, start_cycle=10, finish_cycle=100)
-        >>> [event.name for event in done.trace_events(pid=1, tid=0)]
-        ['job.execute', 'job.completed']
+        >>> event = done.trace_event(pid=1, tid=0)
+        >>> event.name, event.phase, event.cycle, event.duration
+        ('job.completed', 'X', 10, 90)
         >>> shed = JobResult(job_id="j1", tenant="t0", name="gemm",
         ...                  status=STATUS_SHED, priced_cycles=90,
         ...                  arrival_cycle=5, resolved_cycle=5)
-        >>> shed.trace_events()[0].name, shed.trace_events()[0].cycle
+        >>> shed.trace_event().name, shed.trace_event().cycle
         ('job.shed', 5)
         """
         if self.completed and self.start_cycle is not None:
             finish = self.finish_cycle if self.finish_cycle is not None else 0
-            span_args = {
-                "job_id": self.job_id,
-                "tenant": self.tenant,
-                "batch_id": self.batch_id,
-                "attempts": self.attempts,
-            }
-            done_args = {
+            name, phase, cycle = "job.completed", "X", self.start_cycle
+            duration = finish - self.start_cycle
+            args = {
                 "job_id": self.job_id,
                 "tenant": self.tenant,
                 "arrival_cycle": self.arrival_cycle,
@@ -503,52 +499,23 @@ class JobResult:
                 "slo": self.slo,
                 "deadline_met": self.deadline_met,
             }
-            return (
-                TraceEvent(
-                    "job.execute",
-                    "X",
-                    self.start_cycle,
-                    finish - self.start_cycle,
-                    pid,
-                    tid,
-                    "serve",
-                    tuple(sorted(span_args.items())),
-                ),
-                TraceEvent(
-                    "job.completed",
-                    "i",
-                    finish,
-                    0,
-                    pid,
-                    tid,
-                    "serve",
-                    tuple(sorted(done_args.items())),
-                ),
+        else:
+            name, phase, duration = f"job.{self.status}", "i", 0
+            cycle = (
+                self.resolved_cycle
+                if self.resolved_cycle is not None
+                else self.arrival_cycle
             )
-        cycle = (
-            self.resolved_cycle
-            if self.resolved_cycle is not None
-            else self.arrival_cycle
-        )
-        args = {
-            "job_id": self.job_id,
-            "tenant": self.tenant,
-            "attempts": self.attempts,
-            "preemptions": self.preemptions,
-            "slo": self.slo,
-            "priced_cycles": self.priced_cycles,
-        }
-        return (
-            TraceEvent(
-                f"job.{self.status}",
-                "i",
-                cycle,
-                0,
-                pid,
-                tid,
-                "serve",
-                tuple(sorted(args.items())),
-            ),
+            args = {
+                "job_id": self.job_id,
+                "tenant": self.tenant,
+                "attempts": self.attempts,
+                "preemptions": self.preemptions,
+                "slo": self.slo,
+                "priced_cycles": self.priced_cycles,
+            }
+        return TraceEvent(
+            name, phase, cycle, duration, pid, tid, "serve", tuple(sorted(args.items()))
         )
 
     def to_dict(self, include_output: bool = False) -> dict:

@@ -39,7 +39,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from repro.obs.tracer import Tracer
 from repro.serve.job import SLO_LATENCY_TARGET, AnyJob
 
 #: Admission policies for over-budget tenants.
@@ -81,8 +80,6 @@ class AdmissionController:
         pricer: Callable[[AnyJob], int],
         budgets: Mapping[str, int] | None = None,
         policy: str = POLICY_DEPRIORITIZE,
-        *,
-        tracer: Tracer | None = None,
     ) -> None:
         if policy not in ADMISSION_POLICIES:
             raise ValueError(
@@ -92,38 +89,24 @@ class AdmissionController:
         self._pricer = pricer
         self._budgets = dict(budgets or {})
         self.policy = policy
-        self._tracer = tracer
         #: Priced cycles each tenant's admitted jobs have spent so far.
         self._spent: dict[str, int] = {}
 
-    def admit(self, job: AnyJob, *, cycle: int = 0) -> AdmissionDecision:
+    def admit(self, job: AnyJob) -> AdmissionDecision:
         """Price ``job`` and decide whether (and how) it may run.
 
         Admitted jobs — deprioritized ones included, since they do
         eventually execute — accrue against the tenant's budget; rejected
-        jobs do not.  ``cycle`` is the simulated instant of the decision;
-        with a tracer attached it timestamps the ``job.priced`` event.
+        jobs do not.
         """
         cost = int(self._pricer(job))
         spent = self._spent.get(job.tenant, 0)
         budget = self._budgets.get(job.tenant)
         over_budget = budget is not None and spent + cost > budget
         if over_budget and self.policy == POLICY_REJECT:
-            decision = AdmissionDecision(False, False, cost)
-        else:
-            self._spent[job.tenant] = spent + cost
-            decision = AdmissionDecision(True, over_budget, cost)
-        if self._tracer is not None:
-            self._tracer.instant(
-                "job.priced",
-                cycle,
-                job_id=job.job_id,
-                tenant=job.tenant,
-                priced_cycles=cost,
-                admitted=decision.admitted,
-                deprioritized=decision.deprioritized,
-            )
-        return decision
+            return AdmissionDecision(False, False, cost)
+        self._spent[job.tenant] = spent + cost
+        return AdmissionDecision(True, over_budget, cost)
 
 
 @dataclass(frozen=True)
@@ -251,7 +234,6 @@ class WeightedFairQueue:
         *,
         ordering: str = ORDERING_FAIR,
         slo_classes: Mapping[str, str] | None = None,
-        tracer: Tracer | None = None,
     ) -> None:
         if ordering not in ORDERINGS:
             raise ValueError(
@@ -269,7 +251,6 @@ class WeightedFairQueue:
         self._deadline_pool: list[QueuedJob] = []
         self._virtual_clock = 0.0
         self._queued_priced_cycles = 0
-        self._tracer = tracer
         # Lapse index over hinted entries: a min-heap of (latest start,
         # job id) and the ids still queued.  Entries that left the queue
         # are dropped lazily once they reach the top (:meth:`any_lapsed`).
@@ -357,19 +338,6 @@ class WeightedFairQueue:
                 # fleet to "catch up" on time it spent offering no load.
                 queue.virtual_time = max(queue.virtual_time, self._virtual_clock)
             queue.push(entry)
-        if self._tracer is not None:
-            self._tracer.instant(
-                "job.queued",
-                entry.enqueued_cycle,
-                job_id=entry.job.job_id,
-                tenant=entry.job.tenant,
-                priced_cycles=entry.priced_cycles,
-                deprioritized=entry.deprioritized,
-                attempts=entry.attempts,
-            )
-            self._tracer.counter(
-                "queue.depth", entry.enqueued_cycle, depth=len(self)
-            )
 
     def __len__(self) -> int:
         return (

@@ -345,20 +345,18 @@ class _OnlinePlanner:
             scheduler.price_job,
             scheduler.budgets,
             scheduler.admission_policy,
-            tracer=self.tracer,
         )
         self.queue = WeightedFairQueue(
             scheduler.weights,
             ordering=scheduler.ordering,
             slo_classes=scheduler.slo_classes,
-            tracer=self.tracer,
         )
         self.batches: list[_ScheduledBatch] = []
         # A batch is *sealed* once no future planning event can cut it:
         # with preemption off that is at creation; otherwise once it was
         # fault- or preempt-cut, or the planning horizon passed its last
         # member's start (every member has begun executing by then).
-        # Numerics launch and the batch's closing trace events wait for
+        # Numerics launch and the batch's ``batch.execute`` span wait for
         # the seal, so a preemption never races an execution.
         self.sealed: list[bool] = []
         self._unsealed: list[int] = []
@@ -444,8 +442,7 @@ class _OnlinePlanner:
         )
         self.terminal.append(result)
         if self.tracer is not None:
-            for event in result.trace_events():
-                self.tracer.emit(event)
+            self.tracer.emit(result.trace_event())
 
     def _expire_queued(self, cycle: int) -> None:
         """Expire every queued job whose laxity has run out at ``cycle``.
@@ -482,6 +479,14 @@ class _OnlinePlanner:
             for worker_id in range(len(self._s.fleet))
         )
 
+    def _push(self, entry: QueuedJob) -> None:
+        """Enqueue ``entry`` and sample the queue depth at its enqueue cycle."""
+        self.queue.push(entry)
+        if self.tracer is not None:
+            self.tracer.counter(
+                "queue.depth", entry.enqueued_cycle, depth=len(self.queue)
+            )
+
     def _requeue(self, entry: QueuedJob, cycle: int) -> None:
         """Return a fault-interrupted job to the queue at the failure cycle."""
         if self._s.enforce_deadlines and entry.lapsed(cycle):
@@ -490,60 +495,37 @@ class _OnlinePlanner:
         if self._no_alive_workers(cycle):
             self._terminal_entry(entry, STATUS_FAILED, cycle, entry.attempts)
             return
-        self.queue.push(entry)
+        self._push(entry)
         self._notify_work(cycle, entry.job.shape)
 
     # -- preemption and batch sealing -------------------------------------
 
-    def _emit_batch_close(self, batch: _ScheduledBatch) -> None:
-        """Emit a batch's closing trace events (execute span, close, idle).
+    def _seal(self, index: int) -> None:
+        """Mark one batch beyond preemption's reach and emit its span.
 
-        With preemption off this happens inline at dispatch; otherwise it
-        is deferred until the batch seals, so the span's duration and
+        The ``batch.execute`` span waits for the seal, so its duration and
         completed count reflect any preemption cut.
         """
-        tracer = self.tracer
-        if tracer is None:
-            return
-        pid, tid = self._s._track[batch.worker_id]
-        tracer.complete(
-            "batch.execute",
-            batch.start_cycle,
-            batch.end_cycle - batch.start_cycle,
-            pid=pid,
-            tid=tid,
-            batch_id=batch.batch_id,
-            size=len(batch.entries),
-            completed=batch.completed_count,
-            worker_id=batch.worker_id,
-            faulted=batch.fail_cycle is not None and not batch.preempted,
-        )
-        tracer.instant(
-            "batch.close",
-            batch.end_cycle,
-            pid=pid,
-            tid=tid,
-            batch_id=batch.batch_id,
-            completed=batch.completed_count,
-        )
-        if batch.fail_cycle is None or batch.preempted:
-            # The worker survives the batch (healthy finish or preemption
-            # cut); a fault-cut worker is down or dead, not idle.
-            tracer.instant(
-                "worker.idle",
-                batch.end_cycle,
-                pid=pid,
-                tid=tid,
-                worker_id=batch.worker_id,
-            )
-
-    def _seal(self, index: int) -> None:
-        """Mark one batch beyond preemption's reach and emit its close."""
         if self.sealed[index]:
             return
         self.sealed[index] = True
         self.newly_sealed.append(index)
-        self._emit_batch_close(self.batches[index])
+        if self.tracer is not None:
+            batch = self.batches[index]
+            pid, tid = self._s._track[batch.worker_id]
+            self.tracer.complete(
+                "batch.execute",
+                batch.start_cycle,
+                batch.end_cycle - batch.start_cycle,
+                pid=pid,
+                tid=tid,
+                batch_id=batch.batch_id,
+                size=len(batch.entries),
+                completed=batch.completed_count,
+                shape=_shape_label(batch.entries[0].job.shape),
+                worker_id=batch.worker_id,
+                faulted=batch.fail_cycle is not None and not batch.preempted,
+            )
 
     def _seal_ready(self) -> None:
         """Seal every batch the planning horizon has made uncuttable.
@@ -551,7 +533,7 @@ class _OnlinePlanner:
         Preemption decisions only happen while offering a job, at cycles
         ``>= horizon``; once a batch's last member has started before the
         horizon there is no unstarted suffix any future offer could cut,
-        so its numerics may launch and its closing trace events are final.
+        so its numerics may launch and its trace span is final.
         """
         still: list[int] = []
         for index in self._unsealed:
@@ -700,18 +682,21 @@ class _OnlinePlanner:
         self._advance(job.arrival_cycle)
         entry_cycle = max(job.arrival_cycle, self.horizon)
         self.horizon = entry_cycle
-        if self.tracer is not None:
-            self.tracer.instant(
-                "job.arrival",
-                job.arrival_cycle,
-                job_id=job.job_id,
-                tenant=job.tenant,
-                shape=_shape_label(job.shape),
-            )
         if scheduler.enforce_deadlines:
             self._expire_queued(entry_cycle)
 
-        decision = self.admission.admit(job, cycle=entry_cycle)
+        decision = self.admission.admit(job)
+        if self.tracer is not None:
+            self.tracer.instant(
+                "job.arrival",
+                entry_cycle,
+                job_id=job.job_id,
+                tenant=job.tenant,
+                shape=_shape_label(job.shape),
+                priced_cycles=decision.priced_cycles,
+                admitted=decision.admitted,
+                deprioritized=decision.deprioritized,
+            )
         if not decision.admitted:
             result = JobResult(
                 job_id=job.job_id,
@@ -726,8 +711,7 @@ class _OnlinePlanner:
             )
             self.terminal.append(result)
             if self.tracer is not None:
-                for event in result.trace_events():
-                    self.tracer.emit(event)
+                self.tracer.emit(result.trace_event())
             return
         entry = QueuedJob(
             job,
@@ -752,7 +736,7 @@ class _OnlinePlanner:
             if scheduler.tenant_slo(job.tenant) != SLO_LATENCY_TARGET:
                 self._terminal_entry(entry, STATUS_SHED, entry_cycle, 0)
                 return
-            self.queue.push(entry)
+            self._push(entry)
             while self.queue.total_priced_cycles() > scheduler.shed_cycles:
                 victim = self.queue.pop_oldest(
                     lambda queued: scheduler.tenant_slo(queued.job.tenant)
@@ -766,7 +750,7 @@ class _OnlinePlanner:
             self._notify_work(entry_cycle, job.shape)
             self._maybe_preempt(entry, entry_cycle)
             return
-        self.queue.push(entry)
+        self._push(entry)
         # Work exists again: idle workers become dispatch candidates the
         # moment this job is visible.
         self._notify_work(entry_cycle, job.shape)
@@ -810,7 +794,7 @@ class _OnlinePlanner:
             self.finished = True
             self._advance(None)
             # No more offers can arrive, so no future event can cut any
-            # still-open batch: seal them all and emit their closes.
+            # still-open batch: seal them all and emit their spans.
             self._seal_all()
             for entry in self.queue.remove_matching(lambda entry: True):
                 self._terminal_entry(
@@ -1067,35 +1051,9 @@ class _OnlinePlanner:
         )
         self.batches.append(batch)
         self.sealed.append(False)
-        tracer = self.tracer
-        if tracer is not None:
-            pid, tid = scheduler._track[target]
-            tracer.instant(
-                "batch.open",
-                start,
-                pid=pid,
-                tid=tid,
-                batch_id=batch.batch_id,
-                size=len(entries),
-                shape=_shape_label(entries[0].job.shape),
-                worker_id=target,
-            )
-            for entry in entries:
-                tracer.instant(
-                    "job.dispatched",
-                    start,
-                    pid=pid,
-                    tid=tid,
-                    job_id=entry.job.job_id,
-                    tenant=entry.job.tenant,
-                    batch_id=batch.batch_id,
-                    attempts=entry.attempts + 1,
-                )
-            tracer.instant("worker.busy", start, pid=pid, tid=tid, worker_id=target)
         # Seal immediately when nothing can ever cut this batch (emitting
-        # its closing trace events in place, which with preemption off is
-        # byte-identical to the pre-sealing emission order); otherwise
-        # park it until the horizon passes its last member's start.
+        # its span in place); otherwise park it until the horizon passes
+        # its last member's start.
         if (
             scheduler.max_preemptions < 1
             or fail_cycle is not None
@@ -1104,6 +1062,7 @@ class _OnlinePlanner:
             self._seal(batch.batch_id)
         else:
             self._unsealed.append(batch.batch_id)
+        tracer = self.tracer
         if tracer is not None:
             tracer.counter("queue.depth", cycle, depth=len(self.queue))
         if fail_cycle is None:
@@ -1122,6 +1081,7 @@ class _OnlinePlanner:
                         job_id=entry.job.job_id,
                         tenant=entry.job.tenant,
                         attempts=attempts,
+                        batch_id=batch.batch_id,
                         worker_id=target,
                     )
                 self._requeue_seq += 1
@@ -1256,15 +1216,19 @@ class AsyncGemmScheduler:
         shedding policy reads it.
     tracer:
         Optional :class:`repro.obs.tracer.Tracer`.  When attached, the
-        planner emits the full simulated-clock event stream (job
-        lifecycle, batch spans, queue depth, fault plan) into it, and
-        ``drain()`` closes it with one ``cache`` counter sample at the
-        makespan holding the report's estimate-cache deltas; ``None``
-        (default) keeps every emission site a single ``is not None``
-        check.  Traces are deterministic: two same-seed runs emit
-        byte-identical event streams, and ``serve()`` on any order of the
-        same jobs emits an event-for-event identical trace.  Only the
-        ``cache`` sample depends on the estimate cache's starting state.
+        planner records each scheduling decision in it as one
+        simulated-clock event: a ``job.arrival`` per admission, a
+        ``batch.execute`` span per batch, one terminal record per job
+        (a ``job.completed`` span or a ``job.<status>`` instant), plus
+        requeues, preemption cuts, batching windows, queue-depth samples
+        and the fault plan.  ``drain()`` closes it with one ``cache``
+        counter sample at the makespan holding the report's
+        estimate-cache deltas; ``None`` (default) keeps every emission
+        site a single ``is not None`` check.  Traces are deterministic:
+        two same-seed runs emit byte-identical event streams, and
+        ``serve()`` on any order of the same jobs emits an event-for-event
+        identical trace.  Only the ``cache`` sample depends on the
+        estimate cache's starting state.
     """
 
     def __init__(
@@ -1708,12 +1672,11 @@ class AsyncGemmScheduler:
                 )
                 results.append(job_result)
                 if tracer is not None:
-                    # Completion events ride the hosting worker's track;
+                    # Completion spans ride the hosting worker's track;
                     # _assemble iterates batches in dispatch order, so the
                     # emission order is as deterministic as the schedule.
                     pid, tid = self._track[batch.worker_id]
-                    for event in job_result.trace_events(pid=pid, tid=tid):
-                        tracer.emit(event)
+                    tracer.emit(job_result.trace_event(pid=pid, tid=tid))
 
         cache_after = estimate_cache_info()
         cache_class_stats, cache_evictions = self._cache_class_deltas(

@@ -4,8 +4,9 @@ The layer table is generated from the standard bottleneck architecture so
 that every stage / block / branch is represented with its exact shape.  The
 default input resolution is the canonical 224x224; the paper's Table 3 entry
 ``Resnet50_0_conv2d`` (N = 62500 output pixels) implies the authors lowered
-the stem at a larger input resolution, so the resolution is a parameter and
-EXPERIMENTS.md records the setting used for each reproduced number.
+the stem at a larger input resolution, so the resolution is a parameter.
+``benchmarks/bench_sec52_dram_energy.py`` reproduces its numbers from the
+default 224x224 table (``RESNET50_CONV_LAYERS``).
 
 Only convolution layers are listed (the paper's DRAM-traffic numbers are for
 conv layers only); the final fully-connected layer is excluded.

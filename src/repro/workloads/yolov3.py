@@ -8,7 +8,9 @@ residual blocks repeated (1, 2, 8, 8, 4) times, then three YOLO heads at
 
 As with ResNet50, absolute DRAM-traffic megabytes depend on the exact input
 resolution and on which layers the original authors counted; the resolution
-is therefore a parameter and EXPERIMENTS.md records the configuration used.
+is therefore a parameter.  ``benchmarks/bench_sec52_dram_energy.py``
+reproduces its numbers from the default 416x416 table
+(``YOLOV3_CONV_LAYERS``).
 """
 
 from __future__ import annotations

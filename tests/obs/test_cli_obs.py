@@ -55,6 +55,38 @@ class TestServeTrace:
         # The report is the one record of the run: no metrics copy.
         assert "metrics" not in payload["report"]
 
+    def test_unwritable_trace_path_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "absent-dir" / "trace.json"
+        assert _serve_trace(path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("repro serve: cannot write --trace file: ")
+        assert "trace.json" in captured.err
+        assert not path.exists()
+
+
+#: Trace files ``trace summarize`` must refuse with exit 2: each maps to
+#: the file's text and a fragment the one-line error must carry.
+MALFORMED_TRACES = {
+    "array.json": ("[1,2]\n", "array.json:1: not a JSON object"),
+    "scalar_line.jsonl": (
+        '{"name":"scheduler","pid":0,"type":"process_label"}\n7\n',
+        "scalar_line.jsonl:2: not a JSON object",
+    ),
+    "scalar_event.json": (
+        '{"traceEvents":[1]}\n',
+        "scalar_event.json: traceEvents[0] is not a JSON object",
+    ),
+    "bad_latency.jsonl": (
+        '{"name":"scheduler","pid":0,"type":"process_label"}\n'
+        '{"args":{"job_id":"t0-j0","latency_cycles":"x","tenant":"t0"},'
+        '"dur":1,"name":"job.completed","ph":"X","pid":1,"tid":0,"ts":0,'
+        '"type":"event"}\n',
+        "'x'",
+    ),
+}
+
 
 class TestTraceSummarize:
     def test_summarize_both_formats(self, tmp_path, capsys):
@@ -81,6 +113,18 @@ class TestTraceSummarize:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["trace", "summarize", str(tmp_path / "absent.json")]) == 2
         assert "absent.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_TRACES))
+    def test_malformed_trace_exits_2(self, name, tmp_path, capsys):
+        text, fragment = MALFORMED_TRACES[name]
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["trace", "summarize", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("repro trace summarize: ")
+        assert fragment in captured.err
 
 
 class TestBenchCompare:

@@ -113,7 +113,7 @@ class TestSpeedupAnalysis:
         a single array column and its runtime is dominated by the temporal
         dimension, so the analytical speedup stays close to 1.0 (the paper's
         ~2x GEMV claim requires the skew-free back-to-back streaming modelled
-        by the tile-overlap ablation; see EXPERIMENTS.md)."""
+        by the tile-overlap ablation, benchmarks/bench_ablation_tiling.py)."""
         results = workload_speedups(GEMV_WORKLOADS, 128, 128)
         for result in results:
             assert 1.0 <= result.speedup < 1.6

@@ -1,8 +1,9 @@
 """Integration tests that tie the reproduction to the paper's headline claims.
 
-Each test corresponds to one experiment of the DESIGN.md per-experiment index
-and checks the *shape* of the paper's result (who wins, directionality,
-calibration points) end to end through the public API.
+Each test corresponds to one experiment whose numbers a
+``benchmarks/bench_*.py`` module regenerates, and checks the *shape* of the
+paper's result (who wins, directionality, calibration points) end to end
+through the public API.
 """
 
 from __future__ import annotations

@@ -25,6 +25,11 @@ hold for *every* configuration:
    events reproduces the report's batch occupancy, per-tenant terminal
    counts and p50/p95, SLO table, per-worker batches and busy cycles, and
    estimate-cache counts.
+8. **One record per decision** — every submitted job has exactly one
+   ``job.arrival`` (carrying its price and admission decision) and exactly
+   one terminal record, ``job.<status>``; a completed job's record is an
+   ``X`` span from its start to its finish on its worker's track, and
+   every event name belongs to the trace vocabulary.
 
 Cases are addressed by ``(seed, case)``; the harness appends each case's
 reproduction line to a seed log (``SERVE_INVARIANTS_LOG``, default
@@ -46,6 +51,7 @@ import pytest
 
 from repro.engine.cache import clear_estimate_cache
 from repro.obs import Tracer, summarize_trace
+from repro.obs.summary import TERMINAL_EVENTS
 from repro.serve import JOB_STATUSES
 from serve_strategies import ServeScenario, random_scenario
 
@@ -55,6 +61,14 @@ PUBLISHED_SEEDS = (20250807, 1337, 9001)
 
 #: Scenarios drawn per published seed (3 x 70 = 210 total).
 CASES_PER_SEED = 70
+
+#: Every event name a serving trace may carry: the vocabulary table in
+#: ``docs/observability.md``.
+TRACE_VOCABULARY = frozenset({
+    "job.arrival", "job.requeued", "job.preempted", *TERMINAL_EVENTS,
+    "batch.window_open", "batch.execute", "batch.cut",
+    "worker.fault", "worker.recover", "queue.depth", "cache",
+})
 
 _LOG_PATH = Path(
     os.environ.get(
@@ -207,6 +221,39 @@ def _check_summary_equals_report(tracer: Tracer, report) -> None:
     }
 
 
+def _check_one_record_per_decision(
+    scenario: ServeScenario, tracer: Tracer, report, results
+) -> None:
+    arrivals: dict[str, list[dict]] = defaultdict(list)
+    terminals: dict[str, list] = defaultdict(list)
+    for e in tracer.events:
+        assert e.name in TRACE_VOCABULARY, f"unknown trace event {e.name!r}"
+        if e.name == "job.arrival":
+            arrivals[dict(e.args)["job_id"]].append(dict(e.args))
+        elif e.name in TERMINAL_EVENTS:
+            terminals[dict(e.args)["job_id"]].append(e)
+    assert set(arrivals) == {j.job_id for j in scenario.jobs}
+    assert set(terminals) == set(arrivals)
+    class_ids = list(dict.fromkeys(report.fleet))
+    for r in results:
+        assert len(arrivals[r.job_id]) == 1, f"{r.job_id}: arrival repeated"
+        arrival = arrivals[r.job_id][0]
+        assert arrival["priced_cycles"] == r.priced_cycles
+        assert arrival["deprioritized"] == r.deprioritized
+        assert arrival["admitted"] == (r.status != "rejected")
+        assert len(terminals[r.job_id]) == 1, f"{r.job_id}: terminal repeated"
+        terminal = terminals[r.job_id][0]
+        assert terminal.name == f"job.{r.status}"
+        if r.completed:
+            assert terminal.phase == "X"
+            assert (terminal.cycle, terminal.cycle + terminal.duration) == (
+                r.start_cycle, r.finish_cycle
+            )
+            assert (terminal.pid, terminal.tid) == (
+                class_ids.index(r.worker_class) + 1, r.worker_id
+            )
+
+
 @pytest.mark.parametrize("seed", PUBLISHED_SEEDS)
 def test_scheduler_invariants(seed, seed_log):
     observed = {"preemptions": 0, "failed": 0, "expired": 0}
@@ -221,6 +268,7 @@ def test_scheduler_invariants(seed, seed_log):
         _check_preemption_budget(scenario, results)
         _check_monotone_clock(tracer, results)
         _check_summary_equals_report(tracer, report)
+        _check_one_record_per_decision(scenario, tracer, report, results)
         observed["preemptions"] += sum(r.preemptions for r in results)
         observed["failed"] += sum(r.status == "failed" for r in results)
         observed["expired"] += sum(r.status == "expired" for r in results)
