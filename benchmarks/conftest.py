@@ -21,6 +21,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.engine import estimate_cache_info
 from repro.obs import bench_artifact
 
 
@@ -28,6 +29,12 @@ from repro.obs import bench_artifact
 def rng() -> np.random.Generator:
     """Deterministic generator for benchmark inputs."""
     return np.random.default_rng(7)
+
+
+def engine_lookups() -> int:
+    """Estimate-cache lookups (hits + misses) the process has made so far."""
+    info = estimate_cache_info()
+    return info.hits + info.misses
 
 
 def emit(title: str, body: str) -> None:

@@ -74,7 +74,6 @@ def main() -> None:
           f"{report.makespan_cycles:>9,} cycles makespan, "
           f"{report.jobs_per_second:>12,.0f} jobs/s  ({ratio:.2f}x)")
     print(f"jobs sharing a batch        : {report.batched_jobs}")
-    print(f"estimate-cache hit rate     : {report.cache_hit_rate:.1%}")
 
     print("\nper-tenant p95 latency (cycles):")
     for tenant in report.tenants:

@@ -22,7 +22,6 @@ Provides quick access to the analytical models without writing Python::
     python -m repro.cli hardware --rows 16 --cols 16 --node ASAP7
     python -m repro.cli cache
     python -m repro.cli cache warm --store estimates.journal
-    python -m repro.cli serve --store estimates.journal --tenants 4
 
 ``run`` executes a randomized GEMM functionally on a selectable execution
 engine (``--engine wavefront|wavefront-exact|cycle``, see
@@ -59,8 +58,8 @@ shared estimate-cache statistics — in-memory LRU plus the persistent
 disk layer (:mod:`repro.engine.store`) — with ``--clear`` resetting them
 (and truncating an explicitly named ``--store`` journal), and ``cache
 warm`` pre-prices a deterministic workload mix into a ``--store``
-journal so later ``serve --store`` processes skip cold-start admission
-pricing entirely (see ``docs/caching.md``).  ``run``, ``conv`` and
+journal that later processes attach with ``REPRO_ESTIMATE_STORE`` (see
+``docs/caching.md``).  ``run``, ``conv`` and
 ``serve`` take ``--json`` for machine-readable output.  The other
 commands evaluate the analytical models.  The heavier, figure-for-figure
 regeneration lives in ``benchmarks/`` (run via pytest); the CLI is for
@@ -363,23 +362,6 @@ def _cmd_conv(args: argparse.Namespace) -> int:
         )
     )
     return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    store = None
-    if args.store:
-        try:
-            store = attach_estimate_store(args.store)
-        except ValueError as error:
-            print(f"repro serve: invalid --store path: {error}", file=sys.stderr)
-            return 2
-    try:
-        return _run_serve(args)
-    finally:
-        # Detach even on the exit-2 validation paths so one CLI run never
-        # leaks a store (or its fd) into the next in-process caller.
-        if store is not None:
-            detach_estimate_store()
 
 
 def _run_serve(args: argparse.Namespace) -> int:
@@ -924,12 +906,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="mark the first N tenants latency-target (shed last); the "
         "rest stay best-effort",
     )
-    serve.add_argument(
-        "--store", default=None, metavar="PATH",
-        help="attach a persistent estimate journal for the run: admission "
-        "pricing reads estimates priced by earlier processes (e.g. 'repro "
-        "cache warm') and journals fresh ones for later processes",
-    )
     serve.add_argument("--clock-ghz", type=_positive_float, default=1.0)
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
@@ -942,7 +918,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit machine-readable JSON instead of the report tables",
     )
-    serve.set_defaults(func=_cmd_serve)
+    serve.set_defaults(func=_run_serve)
 
     trace = sub.add_parser(
         "trace", help="inspect trace files written by 'serve --trace'"

@@ -138,11 +138,13 @@ def load_trace_events(path: str | Path) -> list[dict[str, object]]:
     # Chrome traces are one JSON object spanning the whole file; JSONL
     # lines are each an object, so a whole-file parse fails with extra
     # data after line one and we fall through to line-by-line parsing.
+    # A one-line JSONL file parses whole, but every JSONL record carries
+    # a ``type`` and a Chrome trace does not.
     try:
         payload = json.loads(text)
     except json.JSONDecodeError:
         payload = None
-    if isinstance(payload, dict):
+    if isinstance(payload, dict) and "type" not in payload:
         raw = payload.get("traceEvents")
         if not isinstance(raw, list):
             raise ValueError(f"{path}: no traceEvents array")

@@ -17,8 +17,13 @@
   ``preemptions`` args on terminal job events, folded by
   :func:`fold_slo_classes`, the same fold
   :func:`repro.serve.report.compile_serve_report` feeds its job results;
-* **estimate-cache outcome** — the run's single ``cache`` counter sample,
-  which holds the report's cache deltas.
+* **per-worker activity** — batches and busy cycles per ``pid:tid`` track,
+  from the ``batch.execute`` spans.
+
+Every number it reads goes through one check: a missing ``ts``, or a
+numeric field that is null or not a number, raises ``ValueError`` naming
+the event and the field.  A ``cache`` record in a trace written by an
+older version is ignored.
 
 The per-tenant p50/p95 use :func:`repro.analysis.latency.summarize_latencies`
 — the identical percentile definition ``ServeReport`` quotes — so numbers
@@ -58,9 +63,6 @@ TERMINAL_EVENTS = (
     "job.shed",
 )
 
-#: The estimate-cache counts the run's ``cache`` counter sample carries.
-_CACHE_COUNTS = ("hit", "miss", "evict", "disk_hit")
-
 #: The counters :func:`fold_slo_classes` keeps per SLO class.
 _SLO_COUNTERS = (
     "submitted",
@@ -71,6 +73,10 @@ _SLO_COUNTERS = (
 )
 
 
+#: Numeric fields read from the event itself; every other one is an arg.
+_TOP_LEVEL = ("ts", "dur", "pid", "tid")
+
+
 def _arg(event: dict[str, Any], key: str, default: Any = None) -> Any:
     args = event.get("args")
     if isinstance(args, dict):
@@ -78,9 +84,29 @@ def _arg(event: dict[str, Any], key: str, default: Any = None) -> Any:
     return default
 
 
+def _number(event: dict[str, Any], field: str, default: Any = None) -> int:
+    """``field`` of ``event`` as an int, ``default`` when it is absent.
+
+    ``ts``/``dur``/``pid``/``tid`` are read from the event, anything else
+    from its ``args``.  Raises ``ValueError`` naming the event and the
+    field when the value (or the missing field's ``None`` default) is not
+    a number.
+    """
+    if field in _TOP_LEVEL:
+        value = event.get(field, default)
+    else:
+        value = _arg(event, field, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"event {event.get('name')!r}: {field} is {value!r}, not a number"
+        ) from None
+
+
 def _queue_depth_view(events: list[dict[str, Any]]) -> dict[str, Any]:
     series = [
-        (int(event["ts"]), int(_arg(event, "depth", 0)))
+        (_number(event, "ts"), _number(event, "depth", 0))
         for event in events
         if event.get("ph") == "C" and event.get("name") == "queue.depth"
     ]
@@ -99,7 +125,7 @@ def _batch_occupancy_view(events: list[dict[str, Any]]) -> dict[str, int]:
     occupancy: dict[int, int] = defaultdict(int)
     for event in events:
         if event.get("name") == "batch.execute":
-            completed = int(_arg(event, "completed", 0))
+            completed = _number(event, "completed", 0)
             if completed:
                 occupancy[completed] += 1
     return {str(size): occupancy[size] for size in sorted(occupancy)}
@@ -110,7 +136,7 @@ def _tenant_views(events: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:
     for event in events:
         if event.get("name") == "job.requeued":
             job_id = str(_arg(event, "job_id"))
-            cycle = int(event["ts"])
+            cycle = _number(event, "ts")
             first_requeue[job_id] = min(
                 cycle, first_requeue.get(job_id, cycle)
             )
@@ -138,9 +164,9 @@ def _tenant_views(events: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:
             continue
         view["completed"] += 1
         job_id = str(_arg(event, "job_id"))
-        arrival = int(_arg(event, "arrival_cycle", 0))
-        latency = int(_arg(event, "latency_cycles", 0))
-        queued = int(_arg(event, "queue_cycles", 0))
+        arrival = _number(event, "arrival_cycle", 0)
+        latency = _number(event, "latency_cycles", 0)
+        queued = _number(event, "queue_cycles", 0)
         start = arrival + queued
         retry_wait = 0
         if job_id in first_requeue:
@@ -196,7 +222,7 @@ def _slo_views(events: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:
             str(_arg(event, "slo", "best-effort")),
             event.get("name") == "job.completed",
             _arg(event, "deadline_met"),
-            int(_arg(event, "preemptions", 0) or 0),
+            _number(event, "preemptions", 0),
         )
         for event in events
         if event.get("name") in TERMINAL_EVENTS
@@ -210,23 +236,15 @@ def _slo_views(events: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:
     return dict(sorted(classes.items()))
 
 
-def _cache_view(events: list[dict[str, Any]]) -> dict[str, int]:
-    """The run's one ``cache`` counter sample (zeros when absent)."""
-    for event in events:
-        if event.get("ph") == "C" and event.get("name") == "cache":
-            return {kind: int(_arg(event, kind, 0)) for kind in _CACHE_COUNTS}
-    return dict.fromkeys(_CACHE_COUNTS, 0)
-
-
 def _worker_views(events: list[dict[str, Any]]) -> dict[str, dict[str, int]]:
     workers: dict[str, dict[str, int]] = {}
     for event in events:
         if event.get("name") != "batch.execute" or event.get("ph") != "X":
             continue
-        track = f"{int(event.get('pid', 0))}:{int(event.get('tid', 0))}"
+        track = f"{_number(event, 'pid', 0)}:{_number(event, 'tid', 0)}"
         view = workers.setdefault(track, {"batches": 0, "busy_cycles": 0})
         view["batches"] += 1
-        view["busy_cycles"] += int(event.get("dur", 0))
+        view["busy_cycles"] += _number(event, "dur", 0)
     return dict(sorted(workers.items()))
 
 
@@ -242,7 +260,6 @@ def summarize_trace(events: list[dict[str, Any]]) -> dict[str, Any]:
         "batch_occupancy": _batch_occupancy_view(events),
         "tenants": _tenant_views(events),
         "slo": _slo_views(events),
-        "cache": _cache_view(events),
         "workers": _worker_views(events),
     }
 
@@ -323,16 +340,6 @@ def format_trace_summary(summary: dict[str, Any]) -> str:
                 ],
             ),
         ]
-    cache = summary["cache"]
-    # Older summaries (and store-less runs) have no disk_hit key; only
-    # surface the disk layer when it actually served lookups.
-    disk_hits = int(cache.get("disk_hit", 0))
-    lines += [
-        "",
-        f"cache: hit={cache['hit']} miss={cache['miss']} "
-        f"evict={cache['evict']}"
-        + (f" disk_hit={disk_hits}" if disk_hits else ""),
-    ]
     workers = summary["workers"]
     if workers:
         lines += [

@@ -18,7 +18,7 @@ grown online and heterogeneous — with five separable pieces:
     deadline orderings (``ordering="edf"`` / ``"least-laxity"`` serve
     hinted latency-target jobs by deadline or remaining slack ahead of
     the fair rotation), and the admission controller that prices every
-    job through the shared estimate cache before it runs.
+    job by its Eq. 2/3 estimate before it runs.
 :mod:`repro.serve.fleet`
     Fleet configuration: :class:`WorkerSpec` groups of identical workers,
     the ``repro serve --fleet`` spec grammar (:func:`parse_fleet_spec`)
@@ -33,11 +33,11 @@ grown online and heterogeneous — with five separable pieces:
     admitted, queued and dispatched as the simulated clock reaches them,
     batching windows close on a cycle deadline, and on heterogeneous fleets
     each batch is placed on the worker class that finishes it soonest,
-    priced through the estimate cache.
+    priced once per (job shape, worker class).
 :mod:`repro.serve.report`
     :class:`ServeReport` — per-tenant p50/p95 latency and throughput,
-    worker and worker-class utilization, batching, fleet description and
-    cache statistics, JSON-serializable for the ``repro serve --json``
+    worker and worker-class utilization, batching, admission outcomes and
+    fleet description, JSON-serializable for the ``repro serve --json``
     CLI.
 :mod:`repro.serve.faults`
     The deterministic chaos layer: :class:`FaultPlan` /
@@ -153,7 +153,6 @@ from repro.serve.queues import (
     WeightedFairQueue,
 )
 from repro.serve.report import (
-    CacheClassStats,
     ServeReport,
     SloClassStats,
     TenantServeStats,
@@ -218,7 +217,6 @@ __all__ = [
     "group_worker_classes",
     "parse_fleet_spec",
     "worker_signature",
-    "CacheClassStats",
     "ServeReport",
     "SloClassStats",
     "TenantServeStats",

@@ -3,8 +3,8 @@
 Two policies live here, deliberately separated from the dispatcher:
 
 * :class:`AdmissionController` — prices every incoming job through the
-  shared estimate cache (:func:`repro.engine.cache.cached_gemm_cycles`, via
-  the pricer callable the scheduler provides) and holds each tenant to an
+  pricer callable the scheduler provides (the Eq. 2/3 estimate, computed
+  once per job shape and worker class) and holds each tenant to an
   optional cycle budget.  Over-budget tenants are either rejected outright
   or *deprioritized* — their jobs drop to a background backlog that only
   runs when every in-budget queue is empty.
@@ -66,13 +66,14 @@ class AdmissionDecision:
 
 
 class AdmissionController:
-    """Estimate-cache-backed admission: price first, then run (or not).
+    """Estimate-priced admission: price first, then run (or not).
 
     ``pricer`` maps a job to its estimated cycles — the scheduler wires it
-    to the fleet's ``estimate_gemm_cycles``, so every admission decision is
-    a (usually cache-hit) lookup in the shared estimate memo rather than an
-    execution.  ``budgets`` maps tenants to total priced-cycle allowances;
-    tenants absent from the mapping are unmetered.
+    to :meth:`repro.serve.scheduler.AsyncGemmScheduler.price_job`, which
+    computes each shape's estimate once, so an admission decision costs a
+    lookup in the scheduler's memo rather than an execution.  ``budgets``
+    maps tenants to total priced-cycle allowances; tenants absent from the
+    mapping are unmetered.
     """
 
     def __init__(

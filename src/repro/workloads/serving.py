@@ -19,6 +19,7 @@ operands.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -302,6 +303,11 @@ def synthetic_trace(
     total_share = sum(spec.load_share for spec in tenants)
     aggregate_rate = offered_load / mean_cost  # jobs per cycle
 
+    # Deadline pricing is a pure function of the shape: price each one once.
+    @functools.cache
+    def deadline_price(m: int, k: int, n: int) -> int:
+        return min(worker.estimate_gemm_cycles(m, k, n) for worker in calibration)
+
     jobs: list[AnyJob] = []
     streams = np.random.SeedSequence(seed).spawn(len(tenants))
     for tenant_index, (spec, stream) in enumerate(zip(tenants, streams)):
@@ -318,10 +324,7 @@ def synthetic_trace(
                 gemm = pool[int(rng.integers(len(pool)))]
             deadline = None
             if deadline_slack is not None:
-                priced = min(
-                    worker.estimate_gemm_cycles(gemm.m, gemm.k, gemm.n)
-                    for worker in calibration
-                )
+                priced = deadline_price(gemm.m, gemm.k, gemm.n)
                 deadline = int(round(deadline_slack * priced))
             job_id = f"{spec.name}-{index:04d}"
             operands_key = (tenant_index, index)

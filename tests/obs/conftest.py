@@ -1,9 +1,8 @@
 """Shared fixtures for the observability test-suite.
 
-Every traced run starts from a cleared estimate cache: the hit/miss event
-sequence is part of the determinism contract, and the cache is process
-global, so two runs only produce identical traces when they start from the
-same cache state.
+A traced run depends only on its jobs, fleet and policies, never on the
+process-wide estimate cache, so the fixtures run on whatever cache state
+earlier tests left.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import pytest
 
 from repro.api import SystolicAccelerator
 from repro.arch.array_config import ArrayConfig
-from repro.engine.cache import clear_estimate_cache
 from repro.obs import Tracer
 from repro.serve import AsyncGemmScheduler
 from repro.workloads import synthetic_trace
@@ -42,14 +40,13 @@ def jobs():
 
 @pytest.fixture
 def traced_serve():
-    """Run ``jobs`` through a traced scheduler from a cold estimate cache.
+    """Run ``jobs`` through a traced scheduler.
 
     Returns ``(tracer, report, results)``; ``streaming=True`` feeds the
     trace through ``submit()``/``drain()`` by hand instead of ``serve()``.
     """
 
     def run(jobs, *, streaming: bool = False):
-        clear_estimate_cache()
         tracer = Tracer()
         fleet = [SystolicAccelerator(ARRAY) for _ in range(FLEET_SIZE)]
         scheduler = AsyncGemmScheduler(fleet, max_batch=MAX_BATCH, tracer=tracer)

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.engine.cache import clear_estimate_cache
 from repro.obs import bench_artifact
 
 SERVE_ARGS = [
@@ -18,7 +17,6 @@ SERVE_ARGS = [
 
 
 def _serve_trace(path, *extra):
-    clear_estimate_cache()
     return main(SERVE_ARGS + ["--trace", str(path)] + list(extra))
 
 
@@ -85,6 +83,19 @@ MALFORMED_TRACES = {
         '"type":"event"}\n',
         "'x'",
     ),
+    "null_latency.jsonl": (
+        '{"name":"scheduler","pid":0,"type":"process_label"}\n'
+        '{"args":{"job_id":"t0-j0","latency_cycles":null,"tenant":"t0"},'
+        '"dur":1,"name":"job.completed","ph":"X","pid":1,"tid":0,"ts":0,'
+        '"type":"event"}\n',
+        "'job.completed': latency_cycles is None",
+    ),
+    "missing_ts.jsonl": (
+        '{"name":"scheduler","pid":0,"type":"process_label"}\n'
+        '{"args":{"depth":1},"cat":"serve","name":"queue.depth","ph":"C",'
+        '"pid":0,"tid":0,"type":"event"}\n',
+        "'queue.depth': ts is None",
+    ),
 }
 
 
@@ -97,7 +108,7 @@ class TestTraceSummarize:
             assert main(["trace", "summarize", str(path)]) == 0
             out = capsys.readouterr().out
             assert "queue depth" in out
-            assert "cache:" in out
+            assert "cache:" not in out
 
     def test_summarize_json_matches_text_counts(self, tmp_path, capsys):
         path = tmp_path / "trace.json"
@@ -107,8 +118,22 @@ class TestTraceSummarize:
         summary = json.loads(capsys.readouterr().out)
         assert summary["events"] > 0
         assert set(summary) >= {
-            "events", "queue_depth", "batch_occupancy", "tenants", "cache",
+            "events", "queue_depth", "batch_occupancy", "tenants",
         }
+        assert "cache" not in summary
+
+    def test_one_event_jsonl_summarizes(self, tmp_path, capsys):
+        # A single JSONL record parses as one whole-file object; its
+        # ``type`` key marks it JSONL, not a Chrome trace.
+        path = tmp_path / "one.jsonl"
+        path.write_text(
+            '{"args":{"depth":3},"cat":"serve","name":"queue.depth","ph":"C",'
+            '"pid":0,"tid":0,"ts":5,"type":"event"}\n'
+        )
+        assert main(["trace", "summarize", str(path), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["events"] == 1
+        assert summary["queue_depth"]["max"] == 3
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["trace", "summarize", str(tmp_path / "absent.json")]) == 2

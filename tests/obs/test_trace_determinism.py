@@ -2,10 +2,10 @@
 
 Same seed, same trace: byte-identical Chrome exports; a hand-driven
 ``submit()``/``drain()`` stream replays ``serve()`` event for event; two
-traced streams interleaved in one thread each record only their own run;
-and every number derived from a trace (per-tenant p95, cache
-hit/miss/evict, terminal accounting) matches the ``ServeReport`` of the
-run that produced it exactly.
+traced streams interleaved in one thread each record and report only their
+own run; and every number derived from a trace (per-tenant p95, terminal
+accounting) matches the ``ServeReport`` of the run that produced it
+exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 from repro.api import SystolicAccelerator
 from repro.arch.array_config import ArrayConfig
 from repro.arch.dataflow import Dataflow
-from repro.engine.cache import cached_gemm_cycles, clear_estimate_cache
+from repro.engine.cache import cached_gemm_cycles
 from repro.obs import Tracer, chrome_trace, summarize_trace
 from repro.serve import AsyncGemmScheduler
 
@@ -26,6 +26,12 @@ def _chrome_bytes(tracer) -> str:
 
 def _summary(tracer):
     return summarize_trace([event.to_dict() for event in tracer.events])
+
+
+def _comparable(report) -> dict:
+    payload = report.to_dict()
+    payload.pop("wall_seconds")  # the one host-dependent field
+    return payload
 
 
 class TestTraceDeterminism:
@@ -75,14 +81,6 @@ class TestTraceMatchesReport:
             assert view["latency"]["p95"] == stat.latency.p95
             assert view["latency"]["mean"] == stat.latency.mean
 
-    def test_cache_events_match_report_counters(self, jobs, traced_serve):
-        tracer, report, _ = traced_serve(jobs)
-        cache = _summary(tracer)["cache"]
-        assert cache["hit"] == report.cache_hits
-        assert cache["miss"] == report.cache_misses
-        assert cache["evict"] == report.cache_evictions
-        assert cache["hit"] + cache["miss"] > 0
-
     def test_terminal_events_match_job_accounting(self, jobs, traced_serve):
         tracer, report, results = traced_serve(jobs)
         completed = [e for e in tracer.events if e.name == "job.completed"]
@@ -95,9 +93,8 @@ class TestTraceMatchesReport:
         _, second_report, _ = traced_serve(jobs)
         first = first_report.to_dict()
         second = second_report.to_dict()
-        # Everything but the host wall time rides the simulated clock, and
-        # both runs start from a cold estimate cache — identical runs
-        # serialize identically.
+        # Everything but the host wall time rides the simulated clock, so
+        # identical runs serialize identically.
         first.pop("wall_seconds")
         second.pop("wall_seconds")
         assert first == second
@@ -105,11 +102,9 @@ class TestTraceMatchesReport:
     def test_tracer_absent_leaves_report_unchanged(self, jobs, traced_serve):
         from repro.api import SystolicAccelerator
         from repro.arch.array_config import ArrayConfig
-        from repro.engine.cache import clear_estimate_cache
         from repro.serve import AsyncGemmScheduler
 
         tracer, traced_report, _ = traced_serve(jobs)
-        clear_estimate_cache()
         fleet = [SystolicAccelerator(ArrayConfig(16, 16)) for _ in range(2)]
         untraced_report, _ = AsyncGemmScheduler(fleet, max_batch=4).serve(jobs)
         assert traced_report.makespan_cycles == untraced_report.makespan_cycles
@@ -118,29 +113,23 @@ class TestTraceMatchesReport:
 
 class TestInterleavedStreams:
     """Two traced schedulers whose ``submit()`` streams interleave in one
-    thread: each trace holds its own run and its own report's cache counts,
-    and neither keeps recording once drained."""
+    thread: each trace and each report equal the scheduler's solo run, and
+    neither trace keeps recording once drained."""
 
     @staticmethod
     def _scheduler(rows: int) -> AsyncGemmScheduler:
         fleet = [SystolicAccelerator(ArrayConfig(rows, rows)) for _ in range(2)]
         return AsyncGemmScheduler(fleet, max_batch=4, tracer=Tracer())
 
-    @staticmethod
-    def _non_cache_events(scheduler: AsyncGemmScheduler) -> list:
-        return [e for e in scheduler.tracer.events if e.name != "cache"]
-
     def test_each_trace_records_only_its_own_run(self, jobs):
         ordered = sorted(jobs, key=lambda job: (job.arrival_cycle, job.job_id))
         sizes = (16, 8)
         solo = {}
         for rows in sizes:
-            clear_estimate_cache()
             scheduler = self._scheduler(rows)
-            scheduler.serve(ordered)
-            solo[rows] = self._non_cache_events(scheduler)
+            report, _ = scheduler.serve(ordered)
+            solo[rows] = (scheduler.tracer.events, _comparable(report))
 
-        clear_estimate_cache()
         streams = {rows: self._scheduler(rows) for rows in sizes}
         for job in ordered:
             for scheduler in streams.values():
@@ -148,14 +137,9 @@ class TestInterleavedStreams:
         reports = {rows: scheduler.drain()[0] for rows, scheduler in streams.items()}
 
         for rows, scheduler in streams.items():
-            assert self._non_cache_events(scheduler) == solo[rows]
-            report = reports[rows]
-            assert _summary(scheduler.tracer)["cache"] == {
-                "hit": report.cache_hits - report.cache_disk_hits,
-                "miss": report.cache_misses,
-                "evict": report.cache_evictions,
-                "disk_hit": report.cache_disk_hits,
-            }
+            events, report = solo[rows]
+            assert scheduler.tracer.events == events
+            assert _comparable(reports[rows]) == report
 
         counts = [len(s.tracer.events) for s in streams.values()]
         for _ in range(2):

@@ -326,25 +326,10 @@ class TestCachePersistenceCli:
         err = capsys.readouterr().err
         assert err.startswith("repro cache warm: invalid --store path:")
 
-    def test_serve_malformed_store_is_a_clean_error(self, capsys, tmp_path):
-        assert main(["serve", "--store", str(tmp_path), "--tenants", "1"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro serve: invalid --store path:")
-
-    def test_serve_store_surfaces_disk_counters(self, capsys, tmp_path):
-        path = str(tmp_path / "est.journal")
-        args = ["serve", "--store", path, "--tenants", "2",
-                "--jobs-per-tenant", "2", "--workers", "1", "--rows", "8",
-                "--cols", "8", "--max-dim", "32", "--json"]
-        assert main(args) == 0
-        payload = json.loads(capsys.readouterr().out)
-        report = payload["report"]
-        assert {"cache_disk_hits", "cache_disk_misses",
-                "cache_disk_skips"} <= set(report)
-        # The run journaled its pricing; detach happened in the handler.
-        from repro.engine import estimate_store
-
-        assert estimate_store() is None
-        from repro.engine import EstimateStore
-
-        assert EstimateStore(path).load_stats().entries > 0
+    def test_serve_store_flag_is_gone(self, capsys, tmp_path):
+        # A serving run does not read the estimate cache's state; a
+        # journal attaches through REPRO_ESTIMATE_STORE instead.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--store", str(tmp_path / "x.journal")])
+        assert exit_info.value.code == 2
+        assert "--store" in capsys.readouterr().err

@@ -14,17 +14,17 @@ hold for *every* configuration:
    ``enforce_deadlines=True`` a hinted job either completes inside its
    deadline or expires; it never completes late.
 4. **Order independence and determinism** — a second ``serve()`` of the
-   *reversed* job list, also from a cold estimate cache, reproduces the
-   first run result-for-result, report-for-report and trace
-   event-for-event.
+   *reversed* job list, on whatever estimate-cache state the earlier
+   runs left, reproduces the first run result-for-result,
+   report-for-report and trace event-for-event.
 5. **Preemption budget** — no job is displaced more than
    ``max_preemptions`` times.
 6. **Monotone simulated clock** — per-worker ``batch.execute`` spans
    never overlap or run backwards, and no job resolves before it arrives.
 7. **Trace summary equals report** — ``summarize_trace`` over the run's
    events reproduces the report's batch occupancy, per-tenant terminal
-   counts and p50/p95, SLO table, per-worker batches and busy cycles, and
-   estimate-cache counts.
+   counts and p50/p95, SLO table, and per-worker batches and busy
+   cycles.
 8. **One record per decision** — every submitted job has exactly one
    ``job.arrival`` (carrying its price and admission decision) and exactly
    one terminal record, ``job.<status>``; a completed job's record is an
@@ -49,7 +49,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.engine.cache import clear_estimate_cache
 from repro.obs import Tracer, summarize_trace
 from repro.obs.summary import TERMINAL_EVENTS
 from repro.serve import JOB_STATUSES
@@ -67,7 +66,7 @@ CASES_PER_SEED = 70
 TRACE_VOCABULARY = frozenset({
     "job.arrival", "job.requeued", "job.preempted", *TERMINAL_EVENTS,
     "batch.window_open", "batch.execute", "batch.cut",
-    "worker.fault", "worker.recover", "queue.depth", "cache",
+    "worker.fault", "worker.recover", "queue.depth",
 })
 
 _LOG_PATH = Path(
@@ -91,8 +90,7 @@ def seed_log():
 
 
 def _run(scenario: ServeScenario, jobs):
-    """One traced ``serve()`` of ``jobs`` from a cold estimate cache."""
-    clear_estimate_cache()
+    """One traced ``serve()`` of ``jobs``."""
     tracer = Tracer()
     report, results = scenario.build_scheduler(tracer=tracer).serve(jobs)
     return tracer, report, results
@@ -212,12 +210,6 @@ def _check_summary_equals_report(tracer: Tracer, report) -> None:
         }
         for w in report.workers
         if w.batches
-    }
-    assert summary["cache"] == {
-        "hit": report.cache_hits - report.cache_disk_hits,
-        "miss": report.cache_misses,
-        "evict": report.cache_evictions,
-        "disk_hit": report.cache_disk_hits,
     }
 
 

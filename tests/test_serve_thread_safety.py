@@ -35,9 +35,7 @@ def _trace(config, seed):
 
 def _comparable(report):
     payload = report.to_dict()
-    for key in ("wall_seconds", "cache_hits", "cache_misses", "cache_hit_rate",
-                "cache_evictions", "cache_classes"):
-        payload.pop(key)
+    payload.pop("wall_seconds")
     return payload
 
 
