@@ -72,6 +72,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from typing import Sequence
@@ -159,10 +160,10 @@ def _positive_int(text: str) -> int:
 
 
 def _positive_float(text: str) -> float:
-    """argparse type for options that must be > 0."""
+    """argparse type for options that must be finite and > 0."""
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
     return value
 
 

@@ -199,36 +199,49 @@ class Job(_GemmOperandsMixin):
             raise ValueError(f"job {self.job_id!r}: arrival_cycle must be >= 0")
 
 
-def operand_rng(
-    seed: int, spawn_key: tuple[int, ...], operand: int
-) -> np.random.Generator:
-    """Generator of one operand of a seeded job.
+def draw_operand(
+    seed: int, spawn_key: tuple[int, ...], operand: int, out: np.ndarray
+) -> np.ndarray:
+    """Fill ``out`` with one operand of a seeded job and return it.
 
-    The child ``spawn_key + (operand,)`` of ``seed``: every operand of
-    every job has its own stream, so drawing one never advances another.
+    The only place a seeded operand is drawn.  The values come from the
+    child ``spawn_key + (operand,)`` of ``seed``, so every operand of every
+    job has its own stream and drawing one never advances another.  They
+    are integers in ``[-128, 127]``, drawn as int8 and cast into ``out``
+    (float64 in every caller): products and sums of such operands are
+    exact in float64 (``|sum| <= K * 2**14``, far below ``2**53``), so a
+    GEMM over them gives the same bits in any accumulation order and on
+    any BLAS thread count.
 
-    >>> x = operand_rng(7, (0, 3), 0).standard_normal(2)
-    >>> bool((x == operand_rng(7, (0, 3), 0).standard_normal(2)).all())
+    >>> x = draw_operand(7, (0, 3), 0, np.empty(4))
+    >>> bool((x == draw_operand(7, (0, 3), 0, np.empty(4))).all())
+    True
+    >>> bool((x == np.round(x)).all() and -128 <= x.min() and x.max() <= 127)
     True
     """
-    return np.random.default_rng(
+    rng = np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(*spawn_key, operand))
     )
+    out[...] = rng.integers(-128, 128, size=out.shape, dtype=np.int8)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class SeededJob(_GemmOperandsMixin):
     """One GEMM whose operands are a seed recipe instead of arrays.
 
-    ``a`` and ``b`` are standard-normal draws, each from its own child of
-    the job's seed: ``SeedSequence(seed, spawn_key=spawn_key + (0,))`` for
-    ``a`` and ``(... + (1,))`` for ``b``, so reading one never draws the
-    other.  They are drawn afresh on every read and never cached on the
-    job; ``shape`` (and ``m``/``k``/``n``/``macs``) never draw.  The
-    stacked batch path draws them straight into its buffers
+    ``a`` and ``b`` are integer-valued float64 draws in ``[-128, 127]``
+    (:func:`draw_operand`), each from its own child of the job's seed:
+    ``SeedSequence(seed, spawn_key=spawn_key + (0,))`` for ``a`` and
+    ``(... + (1,))`` for ``b``, so reading one never draws the other.
+    They are drawn afresh on every read and never cached on the job;
+    ``shape`` (and ``m``/``k``/``n``/``macs``) never draw.  The stacked
+    batch path draws them straight into its buffers
     (:meth:`write_operands`), on the numerics pool, and a served
     :class:`SeededJob` is bit-exact against ``run_gemm(job.a, job.b)``
-    like any :class:`Job`.
+    like any :class:`Job`.  Their GEMM sums are exact, so that holds on
+    any BLAS thread count; explicit :class:`Job` operands still rely on
+    the process-wide one-thread BLAS (:mod:`repro.engine.blas`).
 
     Attributes
     ----------
@@ -274,19 +287,17 @@ class SeededJob(_GemmOperandsMixin):
     @property
     def a(self) -> np.ndarray:
         """The ``(M, K)`` operand, drawn afresh on every read."""
-        rng = operand_rng(self.seed, self.spawn_key, 0)
-        return rng.standard_normal((self.m, self.k))
+        return draw_operand(self.seed, self.spawn_key, 0, np.empty((self.m, self.k)))
 
     @property
     def b(self) -> np.ndarray:
         """The ``(K, N)`` operand, drawn afresh on every read."""
-        rng = operand_rng(self.seed, self.spawn_key, 1)
-        return rng.standard_normal((self.k, self.n))
+        return draw_operand(self.seed, self.spawn_key, 1, np.empty((self.k, self.n)))
 
     def write_operands(self, a_out: np.ndarray, b_out: np.ndarray) -> None:
         """Draw ``a`` and ``b`` straight into the stacked batch slots."""
-        operand_rng(self.seed, self.spawn_key, 0).standard_normal(out=a_out)
-        operand_rng(self.seed, self.spawn_key, 1).standard_normal(out=b_out)
+        draw_operand(self.seed, self.spawn_key, 0, a_out)
+        draw_operand(self.seed, self.spawn_key, 1, b_out)
 
 
 @dataclass(frozen=True, eq=False)

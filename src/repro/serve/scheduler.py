@@ -48,6 +48,10 @@ Two clocks are involved, deliberately decoupled:
   serial per-job Python overhead is amortized away.  Seeded jobs
   (:class:`repro.serve.job.SeededJob`) draw their operands straight into
   the stacks there, so their operands exist only while their batch runs.
+  Those operands are integer-valued float64 in ``[-128, 127]``, whose
+  GEMM sums are exact: their outputs would match on any BLAS thread
+  count.  Explicit :class:`repro.serve.job.Job` operands are arbitrary
+  floats, so their bit-exactness rests on the one-thread setting.
 
 Every completed :class:`JobResult` carries a :class:`repro.api.RunResult`
 that is bit-exact — output matrix and every counter — with what a direct
@@ -61,6 +65,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import heapq
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -1134,8 +1139,8 @@ class AsyncGemmScheduler:
     admission_policy:
         ``"deprioritize"`` (default) or ``"reject"`` for over-budget jobs.
     clock_hz:
-        Simulated clock frequency used to convert cycles to seconds in the
-        report.
+        Simulated clock frequency (finite, > 0) used to convert cycles to
+        seconds in the report.
     batch_window_cycles:
         Batching window: an idle worker holds a young head-of-line batch
         open for up to this many simulated cycles past its queue entry,
@@ -1237,8 +1242,8 @@ class AsyncGemmScheduler:
             raise ValueError("fleet must contain at least one accelerator")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if clock_hz <= 0:
-            raise ValueError(f"clock_hz must be positive, got {clock_hz}")
+        if not (math.isfinite(clock_hz) and clock_hz > 0):
+            raise ValueError(f"clock_hz must be finite and > 0, got {clock_hz}")
         if batch_window_cycles is not None and batch_window_cycles < 0:
             raise ValueError(
                 f"batch_window_cycles must be >= 0, got {batch_window_cycles}"

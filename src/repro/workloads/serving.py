@@ -20,6 +20,7 @@ operands.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,7 +34,7 @@ from repro.serve.job import (
     AnyJob,
     ConvJob,
     SeededJob,
-    operand_rng,
+    draw_operand,
 )
 from repro.serve.scheduler import planned_gemm_cycles
 from repro.workloads.gemm_workloads import TABLE3_WORKLOADS
@@ -196,19 +197,21 @@ def synthetic_trace(
 
     Each tenant's stream draws only the trace's structure: per job, the
     inter-arrival gap, the job kind (when ``conv_fraction`` > 0) and the
-    shape.  Operands never come from it.  GEMM jobs are
-    :class:`repro.serve.job.SeededJob` recipes whose operands are drawn
-    from the job's own child seed, ``SeedSequence(seed, spawn_key=(tenant,
-    job, operand))`` (:func:`repro.serve.job.operand_rng`), only when the
-    job's batch runs — straight into the stacked buffers on the numerics
-    pool.  Building the trace therefore costs a few hundred bytes per GEMM
-    job whatever the shapes.  The pool has ``min(fleet size, CPUs)``
-    threads on one-thread BLAS (:mod:`repro.engine.blas`: the thread count
-    changes output bits, so it is the same for every call in the process),
-    so a fleet at least as large as the CPU count spreads the draws and
-    matmuls over every core.  Conv jobs draw their IFMAP and filters from
-    the same per-job children here and im2col-lower them at construction,
-    as :class:`repro.serve.job.ConvJob` always does.
+    shape.  Operands never come from it.  Every operand is drawn from the
+    job's own child seed, ``SeedSequence(seed, spawn_key=(tenant, job,
+    operand))``, by :func:`repro.serve.job.draw_operand`: integer-valued
+    float64 in ``[-128, 127]``, so every product and sum over them is exact
+    and a job's output bits depend neither on the accumulation order nor on
+    the BLAS thread count.  GEMM jobs are :class:`repro.serve.job.SeededJob`
+    recipes whose operands are drawn only when the job's batch runs —
+    straight into the stacked buffers on the numerics pool.  Building the
+    trace therefore costs a few hundred bytes per GEMM job whatever the
+    shapes.  The pool has ``min(fleet size, CPUs)`` threads on one-thread
+    BLAS (:mod:`repro.engine.blas`), so a fleet at least as large as the
+    CPU count spreads the draws and matmuls over every core.  Conv jobs
+    draw their IFMAP and filters from the same per-job children here and
+    im2col-lower them at construction, as :class:`repro.serve.job.ConvJob`
+    always does.
 
     Parameters
     ----------
@@ -228,9 +231,9 @@ def synthetic_trace(
     jobs_per_tenant:
         Jobs each tenant submits.
     offered_load:
-        Aggregate arrival rate as a multiple of one worker's service rate:
-        1.0 keeps a single accelerator exactly busy on average, 4.0
-        saturates a fleet of four.
+        Aggregate arrival rate as a multiple of one worker's service rate
+        (finite, > 0): 1.0 keeps a single accelerator exactly busy on
+        average, 4.0 saturates a fleet of four.
     max_dim:
         Dimension cap applied to every workload shape
         (:func:`scaled_workload` / :func:`scaled_conv_workload`).
@@ -247,8 +250,9 @@ def synthetic_trace(
     seed:
         Root seed; tenant substreams are spawned from it.
     deadline_slack:
-        When set, each job carries ``deadline_hint_cycles = slack x`` its
-        priced cycles (advisory; lets reports count deadline misses).
+        When set (finite, > 0), each job carries ``deadline_hint_cycles =
+        slack x`` its priced cycles (advisory; lets reports count deadline
+        misses).
     """
     if isinstance(accelerator, (list, tuple)):
         calibration = list(accelerator)
@@ -263,8 +267,14 @@ def synthetic_trace(
         raise ValueError("trace needs at least one tenant")
     if jobs_per_tenant < 1:
         raise ValueError(f"jobs_per_tenant must be >= 1, got {jobs_per_tenant}")
-    if offered_load <= 0:
-        raise ValueError(f"offered_load must be > 0, got {offered_load}")
+    if not (math.isfinite(offered_load) and offered_load > 0):
+        raise ValueError(f"offered_load must be finite and > 0, got {offered_load}")
+    if deadline_slack is not None and not (
+        math.isfinite(deadline_slack) and deadline_slack > 0
+    ):
+        raise ValueError(
+            f"deadline_slack must be finite and > 0, got {deadline_slack}"
+        )
     if not 0.0 <= conv_fraction <= 1.0:
         raise ValueError(f"conv_fraction must be in [0, 1], got {conv_fraction}")
 
@@ -329,21 +339,16 @@ def synthetic_trace(
             job_id = f"{spec.name}-{index:04d}"
             operands_key = (tenant_index, index)
             if is_conv:
+                ifmap = np.empty((conv.in_channels, conv.ifmap_h, conv.ifmap_w))
+                filters = np.empty(
+                    (conv.num_filters, conv.in_channels, conv.kernel_h, conv.kernel_w)
+                )
                 jobs.append(
                     ConvJob(
                         job_id=job_id,
                         tenant=spec.name,
-                        ifmap=operand_rng(seed, operands_key, 0).standard_normal(
-                            (conv.in_channels, conv.ifmap_h, conv.ifmap_w)
-                        ),
-                        filters=operand_rng(seed, operands_key, 1).standard_normal(
-                            (
-                                conv.num_filters,
-                                conv.in_channels,
-                                conv.kernel_h,
-                                conv.kernel_w,
-                            )
-                        ),
+                        ifmap=draw_operand(seed, operands_key, 0, ifmap),
+                        filters=draw_operand(seed, operands_key, 1, filters),
                         stride=conv.stride,
                         padding=conv.padding,
                         name=conv.name,

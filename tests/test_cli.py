@@ -234,6 +234,17 @@ class TestCli:
             main(["serve", "--workers", "0"])
         assert "positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option,value",
+        [("--offered-load", "nan"), ("--deadline-slack", "inf"),
+         ("--clock-ghz", "inf")],
+    )
+    def test_serve_command_rejects_non_finite_floats(self, capsys, option, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", option, value])
+        assert exit_info.value.code == 2
+        assert f"argument {option}: must be finite and > 0" in capsys.readouterr().err
+
     def test_parser_rejects_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
