@@ -144,6 +144,12 @@ class RunResult:
         The ``(P_R, P_C)`` partition grid the workload ran on; ``(1, 1)``
         is single-array scale-up execution.  For scale-out runs ``cycles``
         is the parallel makespan and the counters are grid-wide sums.
+
+    The SHA-256 of ``output`` (:attr:`output_sha256`) is computed on its
+    first read and kept on the instance, so treat ``output`` as immutable
+    once it has been read.  The serving stack reads it for large outputs
+    on the numerics pool, right after a batch runs, and ``to_dict`` reuses
+    it.
     """
 
     name: str
@@ -158,6 +164,26 @@ class RunResult:
     performed_macs: int | None = None
     gated_macs: int | None = None
     scale_out: tuple[int, int] = (1, 1)
+
+    @property
+    def output_sha256(self) -> str | None:
+        """SHA-256 of the output's raw C-order float64 bytes (None without one).
+
+        Hashed once per instance: the digest is kept in the instance dict
+        with ``object.__setattr__``.  ``functools.cached_property`` would
+        do the same under one lock for every instance (Python 3.11), which
+        serializes the numerics pool's threads.  ``dataclasses.replace``
+        builds a new instance, so a replaced output is hashed afresh.
+        """
+        if self.output is None:
+            return None
+        digest = self.__dict__.get("_output_sha256")
+        if digest is None:
+            contiguous = np.ascontiguousarray(self.output, dtype=np.float64)
+            # Read in place; hashlib releases the GIL on buffers this large.
+            digest = hashlib.sha256(contiguous).hexdigest()
+            object.__setattr__(self, "_output_sha256", digest)
+        return digest
 
     def to_dict(self, include_output: bool = False) -> dict:
         """JSON-serializable view of the result (``repro run --json``).
@@ -193,8 +219,7 @@ class RunResult:
         else:
             contiguous = np.ascontiguousarray(self.output, dtype=np.float64)
             payload["output_shape"] = list(contiguous.shape)
-            # The digest covers the raw C-order float64 bytes, read in place.
-            payload["output_sha256"] = hashlib.sha256(contiguous).hexdigest()
+            payload["output_sha256"] = self.output_sha256
             if include_output:
                 payload["output"] = contiguous.tolist()
         return payload

@@ -424,16 +424,21 @@ def _run_serve(args: argparse.Namespace) -> int:
             else spec
             for index, spec in enumerate(tenants)
         )
-    jobs = synthetic_trace(
-        fleet,
-        tenants,
-        jobs_per_tenant=args.jobs_per_tenant,
-        offered_load=args.offered_load,
-        max_dim=args.max_dim,
-        conv_fraction=args.conv_fraction,
-        seed=args.seed,
-        deadline_slack=args.deadline_slack,
-    )
+    try:
+        jobs = synthetic_trace(
+            fleet,
+            tenants,
+            jobs_per_tenant=args.jobs_per_tenant,
+            offered_load=args.offered_load,
+            max_dim=args.max_dim,
+            conv_fraction=args.conv_fraction,
+            seed=args.seed,
+            deadline_slack=args.deadline_slack,
+        )
+    except ValueError as error:
+        # e.g. an --offered-load or --deadline-slack whose cycles overflow.
+        print(f"repro serve: {error}", file=sys.stderr)
+        return 2
     tracer = Tracer() if args.trace else None
     try:
         scheduler = AsyncGemmScheduler(

@@ -120,8 +120,8 @@ class _GemmOperandsMixin:
     ) -> RunResult:
         """Post-process one executed :class:`RunResult` for this job.
 
-        The scheduler calls this on the result of the (possibly batched)
-        GEMM execution before wrapping it in a :class:`JobResult`.  Plain
+        The scheduler calls this once per served job, on the numerics
+        pool, right after the (possibly batched) GEMM execution.  Plain
         GEMM jobs pass the result through untouched; :class:`ConvJob`
         overrides it to fold the flat GEMM output back into the OFMAP and
         attach the conv traffic accounting.  Must never change ``cycles``
@@ -207,11 +207,18 @@ def draw_operand(
     The only place a seeded operand is drawn.  The values come from the
     child ``spawn_key + (operand,)`` of ``seed``, so every operand of every
     job has its own stream and drawing one never advances another.  They
-    are integers in ``[-128, 127]``, drawn as int8 and cast into ``out``
-    (float64 in every caller): products and sums of such operands are
-    exact in float64 (``|sum| <= K * 2**14``, far below ``2**53``), so a
-    GEMM over them gives the same bits in any accumulation order and on
-    any BLAS thread count.
+    are integers in ``[-128, 127]``, cast into ``out`` (float64 in every
+    caller): products and sums of such operands are exact in float64
+    (``|sum| <= K * 2**14``, far below ``2**53``), so a GEMM over them
+    gives the same bits in any accumulation order and on any BLAS thread
+    count.
+
+    The values are exactly ``default_rng(child).integers(-128, 128,
+    size=out.shape, dtype=np.int8)``, read straight off the PCG64 raw
+    stream instead: that draw takes the little-endian bytes of
+    ``random_raw`` words in order and subtracts 128, and NEP 19 keeps the
+    raw stream of a seeded bit generator stable across NumPy releases.
+    Skipping the ``Generator`` makes the draw cheaper.
 
     >>> x = draw_operand(7, (0, 3), 0, np.empty(4))
     >>> bool((x == draw_operand(7, (0, 3), 0, np.empty(4))).all())
@@ -219,10 +226,13 @@ def draw_operand(
     >>> bool((x == np.round(x)).all() and -128 <= x.min() and x.max() <= 127)
     True
     """
-    rng = np.random.default_rng(
+    bits = np.random.PCG64(
         np.random.SeedSequence(seed, spawn_key=(*spawn_key, operand))
     )
-    out[...] = rng.integers(-128, 128, size=out.shape, dtype=np.int8)
+    words = bits.random_raw(-(-out.size // 8))
+    octets = words.astype("<u8", copy=False).view(np.uint8)[: out.size]
+    # Without dtype=, NEP 50 keeps uint8 - 128 in uint8, and it wraps.
+    np.subtract(octets.reshape(out.shape), 128, out=out, dtype=np.float64)
     return out
 
 

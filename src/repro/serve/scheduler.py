@@ -11,7 +11,8 @@ estimate, to put each batch where it finishes soonest (see
 :mod:`repro.serve.fleet` for fleet construction helpers).  Convolution jobs
 (:class:`repro.serve.job.ConvJob`) ride the same machinery: they arrive
 already im2col-lowered, are priced and batched by their lowered GEMM shape,
-and fold their output back into an OFMAP at result-assembly time.
+and fold their output back into an OFMAP on the numerics pool, right after
+their batch runs.
 
 There is one serving path, the online stream:
 :meth:`~AsyncGemmScheduler.submit` feeds jobs one at a time, the planner
@@ -51,7 +52,9 @@ Two clocks are involved, deliberately decoupled:
   Those operands are integer-valued float64 in ``[-128, 127]``, whose
   GEMM sums are exact: their outputs would match on any BLAS thread
   count.  Explicit :class:`repro.serve.job.Job` operands are arbitrary
-  floats, so their bit-exactness rests on the one-thread setting.
+  floats, so their bit-exactness rests on the one-thread setting.  The
+  pool also finishes each batch (:func:`_finish_batch`): it folds conv
+  outputs and hashes every large output, so ``drain()`` only assembles.
 
 Every completed :class:`JobResult` carries a :class:`repro.api.RunResult`
 that is bit-exact — output matrix and every counter — with what a direct
@@ -238,6 +241,40 @@ def run_batch(
         )
         for index, job in enumerate(jobs)
     ]
+
+
+#: Outputs of at least this many bytes are hashed on the numerics pool.
+#: hashlib releases the GIL while it hashes a large buffer, so the digest
+#: overlaps the other threads' work: a 128x128 float64 output (128 KiB)
+#: takes ~0.1 ms.  A small one takes a few microseconds, and on a pool
+#: thread the GIL hand-off around it costs more than it saves; the small
+#: outputs are hashed on their first read instead.  Measured on perfbench:
+#: hashing serve-mixed's outputs (at most 4.5 KiB) on the pool slowed a run
+#: by ~5%, and hashing serve-dense's (mostly 16-128 KiB) there sped it up.
+POOL_DIGEST_MIN_BYTES = 16 * 1024
+
+
+def _finish_batch(
+    accelerator: _AcceleratorBase, jobs: Sequence[AnyJob]
+) -> list[RunResult]:
+    """The numerics-pool task of one sealed batch: the results its jobs report.
+
+    Runs the batch (:func:`run_batch`, looked up by name on every call),
+    gives each result its job-kind post-processing
+    (:meth:`repro.serve.job.ConvJob.finalize_result` folds a conv output
+    into its OFMAP and attaches the conv traffic) and hashes each final
+    output of :data:`POOL_DIGEST_MIN_BYTES` or more, so the caller's thread
+    only assembles, and ``to_dict`` reuses the digest
+    (:attr:`repro.api.RunResult.output_sha256`).
+    """
+    runs = [
+        job.finalize_result(run, accelerator)
+        for job, run in zip(jobs, run_batch(accelerator, jobs))
+    ]
+    for run in runs:
+        if run.output is not None and run.output.nbytes >= POOL_DIGEST_MIN_BYTES:
+            run.output_sha256  # hashed here, kept on the result
+    return runs
 
 
 @dataclass(frozen=True)
@@ -1421,7 +1458,7 @@ class AsyncGemmScheduler:
         return self._stream
 
     def _launch_planned(self, stream: _StreamState) -> None:
-        """Start executing every newly *sealed* batch's numerics.
+        """Start finishing every newly *sealed* batch on the numerics pool.
 
         Only the executed prefix of a fault- or preempt-cut batch runs —
         interrupted jobs never touch the numerics pool (they requeue and
@@ -1437,7 +1474,7 @@ class AsyncGemmScheduler:
         for index in sorted(ready):
             batch = planner.batches[index]
             stream.futures[index] = stream.pool.submit(
-                run_batch,
+                _finish_batch,
                 self.fleet[batch.worker_id],
                 [entry.job for entry in batch.executed],
             )
@@ -1584,10 +1621,6 @@ class AsyncGemmScheduler:
                         f"{entry.job.job_id!r}: planned {planned} cycles but "
                         f"execution reported {run.cycles}"
                     )
-                # Job-kind post-processing: conv jobs fold the flat GEMM
-                # result into their OFMAP and attach im2col traffic, so the
-                # JobResult matches a direct run_conv call bit-for-bit.
-                run = entry.job.finalize_result(run, self.fleet[batch.worker_id])
                 start = cursor
                 # Occupancy advances by the slowdown-stretched service;
                 # the RunResult keeps the healthy tile-exact cycles (a

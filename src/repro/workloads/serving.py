@@ -233,7 +233,8 @@ def synthetic_trace(
     offered_load:
         Aggregate arrival rate as a multiple of one worker's service rate
         (finite, > 0): 1.0 keeps a single accelerator exactly busy on
-        average, 4.0 saturates a fleet of four.
+        average, 4.0 saturates a fleet of four.  A load so small that an
+        arrival gap overflows a float raises ``ValueError``.
     max_dim:
         Dimension cap applied to every workload shape
         (:func:`scaled_workload` / :func:`scaled_conv_workload`).
@@ -252,7 +253,8 @@ def synthetic_trace(
     deadline_slack:
         When set (finite, > 0), each job carries ``deadline_hint_cycles =
         slack x`` its priced cycles (advisory; lets reports count deadline
-        misses).
+        misses).  A slack whose product overflows a float raises
+        ``ValueError``.
     """
     if isinstance(accelerator, (list, tuple)):
         calibration = list(accelerator)
@@ -323,9 +325,16 @@ def synthetic_trace(
     for tenant_index, (spec, stream) in enumerate(zip(tenants, streams)):
         rng = np.random.default_rng(stream)
         rate = aggregate_rate * spec.load_share / total_share
+        # A rate that underflows to 0 has an infinite mean gap.
+        mean_gap = 1.0 / rate if rate > 0 else math.inf
         arrival = 0.0
         for index in range(jobs_per_tenant):
-            arrival += rng.exponential(1.0 / rate)
+            arrival += rng.exponential(mean_gap)
+            if not math.isfinite(arrival):
+                raise ValueError(
+                    f"offered_load {offered_load} gives tenant {spec.name!r} "
+                    "an arrival gap that is not finite"
+                )
             is_conv = conv_pool and rng.random() < conv_fraction
             if is_conv:
                 conv = conv_pool[int(rng.integers(len(conv_pool)))]
@@ -335,7 +344,13 @@ def synthetic_trace(
             deadline = None
             if deadline_slack is not None:
                 priced = deadline_price(gemm.m, gemm.k, gemm.n)
-                deadline = int(round(deadline_slack * priced))
+                hint = deadline_slack * priced
+                if not math.isfinite(hint):
+                    raise ValueError(
+                        f"deadline_slack {deadline_slack} times {priced} "
+                        "priced cycles is not finite"
+                    )
+                deadline = int(round(hint))
             job_id = f"{spec.name}-{index:04d}"
             operands_key = (tenant_index, index)
             if is_conv:

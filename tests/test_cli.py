@@ -245,6 +245,23 @@ class TestCli:
         assert exit_info.value.code == 2
         assert f"argument {option}: must be finite and > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option,value,parameter",
+        [("--deadline-slack", "1e308", "deadline_slack"),
+         ("--offered-load", "1e-320", "offered_load")],
+    )
+    def test_serve_command_overflowing_floats_are_a_clean_error(
+        self, capsys, option, value, parameter
+    ):
+        # Finite and > 0, so argparse accepts them; the trace's cycles
+        # overflow a float instead.
+        args = ["serve", "--tenants", "1", "--jobs-per-tenant", "2",
+                "--max-dim", "32", option, value]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro serve: {parameter} ")
+        assert "not finite" in err and len(err.strip().splitlines()) == 1
+
     def test_parser_rejects_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])

@@ -134,7 +134,11 @@ def _check_bitexact(scenario: ServeScenario, results) -> None:
         assert np.array_equal(r.result.output, direct.output), (
             f"{r.job_id}: output not bit-exact"
         )
-        assert r.result.cycles == direct.cycles
+        # Every other field too: cycles, counters, utilization, scale_out
+        # and the output digest.  Only the workload label may differ.
+        served, reference = r.result.to_dict(), direct.to_dict()
+        del served["name"], reference["name"]
+        assert served == reference, f"{r.job_id}: served result differs"
 
 
 def _check_no_late_completions(scenario: ServeScenario, results) -> None:

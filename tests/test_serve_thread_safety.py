@@ -12,6 +12,8 @@ the scheduler.
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -113,3 +115,28 @@ def test_interleaved_streams_reuse_scheduler_across_threads(rng, small_array):
         assert np.array_equal(out, SystolicAccelerator(small_array).run_gemm(
             a, np.eye(8)
         ).output)
+
+
+def test_output_digest_read_from_many_threads_at_once(rng, small_array):
+    """Pool threads hash results while other threads may read them: every
+    reader of one result sees the digest of its own output."""
+    accelerator = SystolicAccelerator(small_array)
+    runs = [
+        accelerator.run_gemm(
+            rng.standard_normal((40, 8)), rng.standard_normal((8, 40))
+        )
+        for _ in range(30)
+    ]
+    expected = [hashlib.sha256(run.output).hexdigest() for run in runs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            readers = pool.map(
+                lambda _: [run.output_sha256 for run in runs], range(8), timeout=60
+            )
+            seen = list(readers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == [expected] * 8
+    assert [run.to_dict()["output_sha256"] for run in runs] == expected
