@@ -147,9 +147,8 @@ class RunResult:
 
     The SHA-256 of ``output`` (:attr:`output_sha256`) is computed on its
     first read and kept on the instance, so treat ``output`` as immutable
-    once it has been read.  The serving stack reads it for large outputs
-    on the numerics pool, right after a batch runs, and ``to_dict`` reuses
-    it.
+    once it has been read.  The serving stack reads it for every served
+    output right after its batch runs, and ``to_dict`` reuses it.
     """
 
     name: str

@@ -24,6 +24,13 @@ The arrays run in parallel, so the aggregate ``total_cycles`` is the
 zero-gated MACs, active PE-cycles) sum over the grid.  When the extent does
 not fill the grid, trailing arrays receive empty shares and sit idle,
 contributing zero cycles and zero work.
+
+Operands may carry leading batch axes (``(..., M, K)`` and ``(..., K, N)``,
+the same leading shape on both): every GEMM of the batch has the same
+shape, so the shares, the cycles and the counters are those of one GEMM,
+and only the output keeps the batch axes.  The serving layer's stacked
+batches (:func:`repro.serve.scheduler.run_batch`) run through the same
+reduction as a single ``run_gemm``.
 """
 
 from __future__ import annotations
@@ -43,9 +50,10 @@ class PartitionShare:
     """One array's share of a scale-out GEMM.
 
     ``out_rows`` / ``out_cols`` are ``(start, size)`` spans locating the
-    share's partial result in the full output; ``reduces`` is True when the
-    share produces partial sums that must be accumulated (WS/IS grid rows)
-    rather than a disjoint output block (OS).
+    share's partial result in the full output (its last two axes);
+    ``reduces`` is True when the share produces partial sums that must be
+    accumulated (WS/IS grid rows) rather than a disjoint output block (OS).
+    ``a`` and ``b`` are views of the operands, leading batch axes included.
     """
 
     grid_row: int
@@ -64,13 +72,14 @@ class ScaleOutExecution:
     Attributes
     ----------
     output:
-        The exact ``(M, N)`` product, reduced across the grid.
+        The exact ``(..., M, N)`` product, reduced across the grid.
     grid:
         The ``(P_R, P_C)`` partition grid.
     total_cycles:
         Makespan: the maximum share runtime (the arrays run in parallel).
     macs, mac_count, gated_macs, active_pe_cycles:
-        Work counters summed over every array of the grid.
+        Work counters summed over every array of the grid (per GEMM when
+        the operands carry batch axes).
     tile_count:
         Scale-up tiles executed, summed over the grid.
     shares:
@@ -92,6 +101,20 @@ class ScaleOutExecution:
     def num_arrays(self) -> int:
         """Number of arrays in the partition grid."""
         return self.grid[0] * self.grid[1]
+
+
+def _check_operands(a: np.ndarray, b: np.ndarray) -> None:
+    """Reject operands that are not ``(..., M, K) x (..., K, N)`` stacks."""
+    if (
+        a.ndim < 2
+        or a.ndim != b.ndim
+        or a.shape[:-2] != b.shape[:-2]
+        or a.shape[-1] != b.shape[-2]
+    ):
+        raise ValueError(
+            "operands must be 2-D (or equally batched) with agreeing inner "
+            f"dimensions, got {a.shape} x {b.shape}"
+        )
 
 
 def iter_partition_share_shapes(
@@ -136,14 +159,14 @@ def iter_partition_shares(
     Shares are yielded in grid-row-major order with ascending grid rows, so
     accumulating the reducing shares (WS/IS) in iteration order reproduces
     the ascending-``K`` accumulation contract.  Empty shares (grids larger
-    than the spatial extent) are skipped.
+    than the spatial extent) are skipped.  Leading batch axes of ``a`` and
+    ``b`` pass through to every share's views.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError("operands must be 2-D with agreeing inner dimensions")
-    m, k = a.shape
-    _, n = b.shape
+    _check_operands(a, b)
+    m, k = a.shape[-2:]
+    n = b.shape[-1]
     if dataflow is Dataflow.OUTPUT_STATIONARY:
         row_spans, col_spans = partition_spans(m, p_r), partition_spans(n, p_c)
     elif dataflow is Dataflow.WEIGHT_STATIONARY:
@@ -157,19 +180,19 @@ def iter_partition_shares(
             if dataflow is Dataflow.OUTPUT_STATIONARY:
                 yield PartitionShare(
                     grid_row, grid_col,
-                    a[r0 : r0 + rs, :], b[:, c0 : c0 + cs],
+                    a[..., r0 : r0 + rs, :], b[..., :, c0 : c0 + cs],
                     (r0, rs), (c0, cs), reduces=False,
                 )
             elif dataflow is Dataflow.WEIGHT_STATIONARY:
                 yield PartitionShare(
                     grid_row, grid_col,
-                    a[c0 : c0 + cs, r0 : r0 + rs], b[r0 : r0 + rs, :],
+                    a[..., c0 : c0 + cs, r0 : r0 + rs], b[..., r0 : r0 + rs, :],
                     (c0, cs), (0, n), reduces=True,
                 )
             else:
                 yield PartitionShare(
                     grid_row, grid_col,
-                    a[:, r0 : r0 + rs], b[r0 : r0 + rs, c0 : c0 + cs],
+                    a[..., :, r0 : r0 + rs], b[..., r0 : r0 + rs, c0 : c0 + cs],
                     (0, m), (c0, cs), reduces=True,
                 )
 
@@ -186,20 +209,22 @@ def scale_out_reduce(
 
     ``run_share(a_share, b_share) -> GemmExecution`` executes one array's
     work; this function owns the Eq. 3 aggregation contract shared by every
-    engine — output scatter/accumulation, makespan cycles, summed work
-    counters — so the wavefront executor and the cycle-engine path cannot
-    drift apart.  With a ``1 x 1`` grid the single share's results pass
-    through untouched (bit-identical to scale-up execution, including the
-    last-ulp bits of the fast path).
+    engine and by the serving layer's stacked batches — output
+    scatter/accumulation (``+=`` per share, in iteration order), makespan
+    cycles, summed work counters — so none of them can drift apart.  With
+    a ``1 x 1`` grid the single share's results pass through untouched
+    (bit-identical to scale-up execution, including the last-ulp bits of
+    the fast path).  With leading batch axes on the operands,
+    ``run_share`` receives the batched share views and returns the
+    batched output with the counters of one GEMM.
     """
     if partitions_rows <= 0 or partitions_cols <= 0:
         raise ValueError("partition counts must be positive")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError("operands must be 2-D with agreeing inner dimensions")
-    m, k = a.shape
-    _, n = b.shape
+    _check_operands(a, b)
+    m, k = a.shape[-2:]
+    n = b.shape[-1]
     if m == 0 or k == 0 or n == 0:
         raise ValueError(f"GEMM dimensions must be positive, got M={m}, K={k}, N={n}")
 
@@ -217,7 +242,7 @@ def scale_out_reduce(
             shares=(execution,),
         )
 
-    output = np.zeros((m, n), dtype=np.float64)
+    output = np.zeros((*a.shape[:-2], m, n), dtype=np.float64)
     shares: dict[tuple[int, int], GemmExecution] = {}
     total_cycles = 0
     mac_count = 0
@@ -228,7 +253,7 @@ def scale_out_reduce(
         execution = run_share(share.a, share.b)
         r0, rs = share.out_rows
         c0, cs = share.out_cols
-        output[r0 : r0 + rs, c0 : c0 + cs] += execution.output
+        output[..., r0 : r0 + rs, c0 : c0 + cs] += execution.output
         shares[(share.grid_row, share.grid_col)] = execution
         total_cycles = max(total_cycles, execution.total_cycles)
         mac_count += execution.mac_count

@@ -5,7 +5,7 @@ multi-tenant metadata the scheduler needs (tenant id, priority, deadline
 hint, simulated arrival time).  A :class:`SeededJob` is the same GEMM with
 a seed recipe in place of the operands: it stores only its shape and seed,
 and draws the operands when they are read — straight into the stacked
-batch buffers on the numerics pool, so a long synthetic trace costs a few
+batch buffers while its batch runs, so a long synthetic trace costs a few
 hundred bytes per job until it runs.  A :class:`ConvJob` wraps one ``run_conv``
 invocation: it carries the IFMAP / filter tensors, im2col-lowers them to
 GEMM operands at construction, and is thereafter indistinguishable from a
@@ -120,8 +120,8 @@ class _GemmOperandsMixin:
     ) -> RunResult:
         """Post-process one executed :class:`RunResult` for this job.
 
-        The scheduler calls this once per served job, on the numerics
-        pool, right after the (possibly batched) GEMM execution.  Plain
+        The scheduler calls this once per served job, right after the
+        (possibly batched) GEMM execution, on the thread that ran it.  Plain
         GEMM jobs pass the result through untouched; :class:`ConvJob`
         overrides it to fold the flat GEMM output back into the OFMAP and
         attach the conv traffic accounting.  Must never change ``cycles``
@@ -247,7 +247,7 @@ class SeededJob(_GemmOperandsMixin):
     They are drawn afresh on every read and never cached on the job;
     ``shape`` (and ``m``/``k``/``n``/``macs``) never draw.  The stacked
     batch path draws them straight into its buffers
-    (:meth:`write_operands`), on the numerics pool, and a served
+    (:meth:`write_operands`) while the batch runs, and a served
     :class:`SeededJob` is bit-exact against ``run_gemm(job.a, job.b)``
     like any :class:`Job`.  Their GEMM sums are exact, so that holds on
     any BLAS thread count; explicit :class:`Job` operands still rely on

@@ -204,11 +204,11 @@ def synthetic_trace(
     and a job's output bits depend neither on the accumulation order nor on
     the BLAS thread count.  GEMM jobs are :class:`repro.serve.job.SeededJob`
     recipes whose operands are drawn only when the job's batch runs —
-    straight into the stacked buffers on the numerics pool.  Building the
-    trace therefore costs a few hundred bytes per GEMM job whatever the
-    shapes.  The pool has ``min(fleet size, CPUs)`` threads on one-thread
-    BLAS (:mod:`repro.engine.blas`), so a fleet at least as large as the
-    CPU count spreads the draws and matmuls over every core.  Conv jobs
+    straight into the stacked buffers.  Building the trace therefore costs
+    a few hundred bytes per GEMM job whatever the shapes.  Large batches
+    run on a pool of ``min(fleet size, CPUs)`` threads on one-thread BLAS
+    (:mod:`repro.engine.blas`), so a fleet at least as large as the CPU
+    count spreads their draws and matmuls over every core.  Conv jobs
     draw their IFMAP and filters from the same per-job children here and
     im2col-lower them at construction, as :class:`repro.serve.job.ConvJob`
     always does.

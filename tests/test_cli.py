@@ -262,6 +262,17 @@ class TestCli:
         assert err.startswith(f"repro serve: {parameter} ")
         assert "not finite" in err and len(err.strip().splitlines()) == 1
 
+    def test_serve_command_rejects_a_clock_below_one_hertz(self, capsys):
+        # 1e-320 GHz is finite and > 0, but the report's simulated seconds
+        # (cycles / 1e-311 Hz) would overflow to Infinity in the JSON.
+        args = ["serve", "--tenants", "1", "--jobs-per-tenant", "2",
+                "--max-dim", "32", "--clock-ghz", "1e-320", "--json"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro serve: clock_hz must be finite and >= 1")
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_parser_rejects_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])

@@ -41,16 +41,18 @@ class TestPartitioning:
         with pytest.raises(ValueError):
             partition_spans(0, 2)
 
+    @pytest.mark.parametrize("lead", [(), (3,)])
     @pytest.mark.parametrize("dataflow", ALL_DATAFLOWS)
-    def test_shares_reassemble_the_gemm(self, dataflow, rng):
-        a = rng.standard_normal((13, 11))
-        b = rng.standard_normal((11, 9))
+    def test_shares_reassemble_the_gemm(self, dataflow, lead, rng):
+        # Leading batch axes ride along on every share view.
+        a = rng.standard_normal((*lead, 13, 11))
+        b = rng.standard_normal((*lead, 11, 9))
         reference = a @ b
-        output = np.zeros((13, 9))
+        output = np.zeros((*lead, 13, 9))
         for share in iter_partition_shares(a, b, dataflow, 2, 3):
             r0, rs = share.out_rows
             c0, cs = share.out_cols
-            output[r0 : r0 + rs, c0 : c0 + cs] += share.a @ share.b
+            output[..., r0 : r0 + rs, c0 : c0 + cs] += share.a @ share.b
         np.testing.assert_allclose(output, reference, atol=1e-9)
 
     def test_ws_shares_partition_the_reduction(self, rng):
