@@ -2,8 +2,8 @@
 """Serve a mixed GEMM + convolution trace on the batch-serving subsystem.
 
 Builds a synthetic four-tenant trace in which ~40% of the jobs are CNN
-convolution layers (:class:`repro.serve.ConvJob` — im2col-lowered at
-construction, priced and batched by their lowered GEMM shape) and the rest
+convolution layers (:class:`repro.serve.ConvJob` — priced and batched by
+their lowered GEMM shape, im2col-lowered where their batch runs) and the rest
 are Table 3 GEMMs, then replays it two ways:
 
 * naive serial dispatch — one worker, no batching, arrival order;

@@ -8,7 +8,6 @@ numpy code so that their correctness is obvious by inspection.
 from repro.golden.gemm import gemm, gemv, batched_gemm
 from repro.golden.conv import (
     conv2d,
-    conv2d_via_im2col,
     depthwise_conv2d,
     conv_output_shape,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "gemv",
     "batched_gemm",
     "conv2d",
-    "conv2d_via_im2col",
     "depthwise_conv2d",
     "conv_output_shape",
 ]

@@ -87,33 +87,6 @@ def conv2d(
     return ofmap
 
 
-def conv2d_via_im2col(
-    ifmap: np.ndarray,
-    filters: np.ndarray,
-    stride: int = 1,
-    padding: int = 0,
-) -> np.ndarray:
-    """2-D convolution lowered to a single GEMM through software im2col.
-
-    The lowering mirrors the one the paper describes in Fig. 7: every
-    convolution window is flattened into one row of the im2col matrix and each
-    filter is flattened into one column; the GEMM then produces the flattened
-    OFMAP.
-    """
-    from repro.im2col.software import im2col
-
-    ifmap = np.asarray(ifmap, dtype=np.float64)
-    filters = np.asarray(filters, dtype=np.float64)
-    num_filters = filters.shape[0]
-    k_h, k_w = filters.shape[2], filters.shape[3]
-    out_h = conv_output_shape(ifmap.shape[1], k_h, stride, padding)
-    out_w = conv_output_shape(ifmap.shape[2], k_w, stride, padding)
-    lowered = im2col(ifmap, (k_h, k_w), stride=stride, padding=padding)
-    flat_filters = filters.reshape(num_filters, -1)
-    flat_out = flat_filters @ lowered.T
-    return flat_out.reshape(num_filters, out_h, out_w)
-
-
 def depthwise_conv2d(
     ifmap: np.ndarray,
     filters: np.ndarray,

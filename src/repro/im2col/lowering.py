@@ -16,7 +16,7 @@ Two lowering levels live here:
   the equivalent :class:`GemmShape`; this is all the analytical runtime /
   traffic models need.
 * **operand-level** — :func:`lower_conv_operands` additionally materializes
-  the GEMM operands from real IFMAP / filter tensors (software im2col,
+  the GEMM operands from real IFMAP / filter tensors (the window view of
   :mod:`repro.im2col.software`), which is what
   :meth:`repro.api._AcceleratorBase.run_conv` feeds through the batched
   wavefront engine; :func:`conv_shape_from_tensors` recovers the
@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.golden.conv import conv_output_shape
+from repro.im2col.software import conv_windows
 
 
 @dataclass(frozen=True)
@@ -247,22 +248,14 @@ def lower_conv_operands(
     tensors validated) exactly once, here — callers that need the geometry
     take it from the return value instead of re-deriving it.
 
-    ``b`` is materialized contiguously (not as a transposed im2col view) so
-    downstream consumers — the batched wavefront engine and the serving
-    layer's stacked-matmul fast path — all multiply identically-laid-out
-    operands and stay bit-exact with each other.
+    ``b`` is one C-order copy of the window view
+    (:func:`repro.im2col.software.conv_windows`), so downstream consumers —
+    the batched wavefront engine and the serving layer's stacked-matmul
+    fast path, which writes the same view into its slots — all multiply
+    identically-laid-out operands and stay bit-exact with each other.
     """
-    from repro.im2col.software import im2col
-
     shape = conv_shape_from_tensors(ifmap, filters, stride, padding, name=name)
-    if shape.depthwise:  # pragma: no cover - (F, C, R, S) can't set the flag
-        raise ValueError("depthwise convolutions are lowered per channel")
-    lowered = im2col(
-        np.asarray(ifmap, dtype=np.float64),
-        (shape.kernel_h, shape.kernel_w),
-        stride=stride,
-        padding=padding,
-    )
+    windows = conv_windows(ifmap, (shape.kernel_h, shape.kernel_w), stride, padding)
     a = np.asarray(filters, dtype=np.float64).reshape(shape.num_filters, -1)
-    b = np.ascontiguousarray(lowered.T)
+    b = windows.copy().reshape(shape.window_elements, shape.output_pixels)
     return a, b, shape

@@ -8,9 +8,9 @@ grown online and heterogeneous — with five separable pieces:
     The job model: :class:`Job` (GEMM operands + tenant, priority, deadline
     hint, simulated arrival), :class:`SeededJob` (the same with a seed
     recipe in place of the operands, drawn only when its batch runs),
-    :class:`ConvJob` (a convolution layer, im2col-lowered at construction
-    so it schedules, prices and batches exactly like the GEMM it lowers
-    to, then folds back to an OFMAP) and
+    :class:`ConvJob` (a convolution layer that schedules, prices and
+    batches exactly like the GEMM it lowers to, is im2col-lowered where
+    its batch runs, then folds back to an OFMAP) and
     :class:`JobResult` (the bit-exact :class:`repro.api.RunResult` plus
     serving-side latency accounting).
 :mod:`repro.serve.queues`

@@ -6,12 +6,13 @@ hint, simulated arrival time).  A :class:`SeededJob` is the same GEMM with
 a seed recipe in place of the operands: it stores only its shape and seed,
 and draws the operands when they are read — straight into the stacked
 batch buffers while its batch runs, so a long synthetic trace costs a few
-hundred bytes per job until it runs.  A :class:`ConvJob` wraps one ``run_conv``
-invocation: it carries the IFMAP / filter tensors, im2col-lowers them to
-GEMM operands at construction, and is thereafter indistinguishable from a
-GEMM job to the queues, the admission controller and the batch packer —
-conv jobs are priced by their lowered GEMM shape and stack into the same
-same-shape batches.  A :class:`JobResult` wraps the
+hundred bytes per job until it runs.  A :class:`ConvJob` wraps one
+``run_conv`` invocation: it carries the IFMAP / filter tensors and their
+geometry, and is indistinguishable from a GEMM job to the queues, the
+admission controller and the batch packer — conv jobs are priced by their
+lowered GEMM shape, stack into the same same-shape batches and are
+im2col-lowered only where their batch runs, straight into its buffers.
+A :class:`JobResult` wraps the
 :class:`repro.api.RunResult` the accelerator produced together with the
 serving-side accounting: when the job arrived, started and finished on the
 simulated clock, which worker and batch ran it, and what the admission
@@ -23,16 +24,19 @@ Everything here is plain data; the scheduling policy lives in
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.api import RunResult, _AcceleratorBase
-from repro.energy.dram_energy import dram_energy_mj
-from repro.im2col.lowering import ConvShape, lower_conv_operands
-from repro.im2col.software import col2im_output
+from repro.im2col.lowering import (
+    ConvShape,
+    conv_shape_from_tensors,
+    lower_conv_operands,
+    lower_conv_to_gemm,
+)
+from repro.im2col.software import conv_windows
 from repro.obs.tracer import TraceEvent
 
 #: Terminal outcomes recorded on a :class:`JobResult`.  ``completed`` is
@@ -314,16 +318,17 @@ class SeededJob(_GemmOperandsMixin):
 class ConvJob(_GemmOperandsMixin):
     """One convolution layer awaiting execution on behalf of a tenant.
 
-    Construction im2col-lowers the tensors once
-    (:func:`repro.im2col.lowering.lower_conv_operands`), so the scheduler
-    sees exactly the :class:`Job` interface: ``a``/``b`` operands, the
-    lowered ``shape`` as the batching key, and ``m``/``k``/``n`` for
-    admission pricing ("price the conv as its lowered GEMM").  After
-    execution, :meth:`finalize_result` folds the GEMM result back into the
-    ``(F, P, Q)`` OFMAP and attaches the same ``dram_bytes`` /
-    ``dram_energy_mj`` a direct :meth:`repro.api._AcceleratorBase.run_conv`
-    call reports — the completed :class:`JobResult` is bit-exact against
-    ``run_conv``.
+    The job keeps only its tensors and geometry, so the scheduler sees
+    exactly the :class:`Job` interface: the lowered GEMM ``shape`` as the
+    batching key and ``m``/``k``/``n`` for admission pricing ("price the
+    conv as its lowered GEMM").  Its operands exist only where its batch
+    runs: :meth:`write_operands` writes the filter rows and the IFMAP's
+    window view (:func:`repro.im2col.software.conv_windows`) straight into
+    the stacked batch slots, and ``a``/``b`` are derived on every read.
+    :meth:`finalize_result` then folds the GEMM result into the
+    ``(F, P, Q)`` OFMAP with the fold ``run_conv`` uses, so the completed
+    :class:`JobResult` is bit-exact against
+    :meth:`repro.api._AcceleratorBase.run_conv`.
 
     Attributes
     ----------
@@ -335,6 +340,8 @@ class ConvJob(_GemmOperandsMixin):
         Filter bank ``(F, C, R, S)``.
     stride, padding:
         Convolution hyper-parameters (same along both spatial axes).
+    conv_shape:
+        The layer geometry the tensors describe (derived, not an argument).
     """
 
     job_id: str
@@ -347,35 +354,49 @@ class ConvJob(_GemmOperandsMixin):
     priority: int = 0
     deadline_hint_cycles: int | None = None
     arrival_cycle: int = 0
-    #: Lowered GEMM operands, computed at construction (not constructor args).
-    a: np.ndarray = field(init=False, repr=False)
-    b: np.ndarray = field(init=False, repr=False)
+    conv_shape: ConvShape = field(init=False, repr=False)
     shape: tuple[int, int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         ifmap = np.asarray(self.ifmap, dtype=np.float64)
         filters = np.asarray(self.filters, dtype=np.float64)
         try:
-            a, b, layer = lower_conv_operands(
+            layer = conv_shape_from_tensors(
                 ifmap, filters, self.stride, self.padding, name=self.name
             )
         except ValueError as error:
             # Per-job boundary, like Job: one tenant's malformed layer must
             # not abort a whole multi-tenant serve() run deep in planning.
             raise ValueError(f"job {self.job_id!r}: {error}") from None
+        gemm = lower_conv_to_gemm(layer)
         object.__setattr__(self, "ifmap", ifmap)
         object.__setattr__(self, "filters", filters)
-        object.__setattr__(self, "_conv_shape", layer)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "shape", (a.shape[0], a.shape[1], b.shape[1]))
+        object.__setattr__(self, "conv_shape", layer)
+        object.__setattr__(self, "shape", (gemm.m, gemm.k, gemm.n))
         if self.arrival_cycle < 0:
             raise ValueError(f"job {self.job_id!r}: arrival_cycle must be >= 0")
 
     @property
-    def conv_shape(self) -> ConvShape:
-        """The :class:`repro.im2col.lowering.ConvShape` this job executes."""
-        return self._conv_shape
+    def a(self) -> np.ndarray:
+        """The ``(F, C*R*S)`` filter rows, a view of ``filters``."""
+        return self.filters.reshape(self.m, self.k)
+
+    @property
+    def b(self) -> np.ndarray:
+        """The ``(C*R*S, P*Q)`` window matrix, lowered afresh on every read."""
+        return lower_conv_operands(
+            self.ifmap, self.filters, self.stride, self.padding
+        )[1]
+
+    def write_operands(self, a_out: np.ndarray, b_out: np.ndarray) -> None:
+        """Write the filter rows and the window view straight into the slots."""
+        layer = self.conv_shape
+        windows = conv_windows(
+            self.ifmap, (layer.kernel_h, layer.kernel_w), self.stride, self.padding
+        )
+        a_out[...] = self.a
+        # The slots are C-contiguous, so the reshape is a view of b_out.
+        b_out.reshape(windows.shape)[...] = windows
 
     def finalize_result(
         self, run: RunResult, accelerator: _AcceleratorBase
@@ -383,18 +404,10 @@ class ConvJob(_GemmOperandsMixin):
         """Fold the GEMM result into the OFMAP and attach conv traffic.
 
         Produces exactly what ``accelerator.run_conv(ifmap, filters, ...)``
-        returns for this layer: the ``(F, P, Q)`` output tensor plus the
-        design's im2col DRAM traffic and energy.  Cycles and work counters
-        pass through unchanged — the lowered GEMM *is* the execution.
+        returns for this layer, through the same
+        :meth:`repro.api._AcceleratorBase.fold_conv`.
         """
-        layer = self.conv_shape
-        traffic = accelerator.conv_traffic(layer)
-        return dataclasses.replace(
-            run,
-            output=col2im_output(run.output, layer.out_h, layer.out_w),
-            dram_bytes=traffic.total_bytes,
-            dram_energy_mj=dram_energy_mj(traffic.total_bytes, accelerator.dram),
-        )
+        return accelerator.fold_conv(run, self.conv_shape)
 
 
 #: The job kinds the scheduler accepts: stored and seeded GEMMs and lowered

@@ -9,9 +9,9 @@ dataflow, engine or scale-out grid form *worker classes* (grouped by
 prices every (job-shape, worker-class) pair once, by the Eq. 2/3
 estimate, to put each batch where it finishes soonest (see
 :mod:`repro.serve.fleet` for fleet construction helpers).  Convolution jobs
-(:class:`repro.serve.job.ConvJob`) ride the same machinery: they arrive
-already im2col-lowered, are priced and batched by their lowered GEMM shape,
-and fold their output back into an OFMAP right after their batch runs.
+(:class:`repro.serve.job.ConvJob`) ride the same machinery: they are
+priced and batched by their lowered GEMM shape, im2col-lowered only where
+their batch runs, and fold their output back into an OFMAP right after.
 
 There is one serving path, the online stream:
 :meth:`~AsyncGemmScheduler.submit` feeds jobs one at a time, the planner
@@ -201,11 +201,11 @@ def run_batch(
     A same-shape batch on a wavefront worker without zero gating is
     stacked, one-job batches and ``scale_out`` grids included: every job
     writes its operands into its slot of one ``(B, M, K)`` and one
-    ``(B, K, N)`` stack (stored operands are copied, seeded ones drawn in
-    place, so they are only ever materialized here, while the batch
-    runs), and :func:`repro.engine.scaleout.scale_out_reduce` runs the
-    stacks through the worker's Eq. 3 grid — a ``1 x 1`` grid is one
-    stacked matmul.  Each share is one stacked matmul plus one tile-group
+    ``(B, K, N)`` stack (stored operands are copied, seeded and conv ones
+    drawn or lowered in place, so they only exist while the batch runs),
+    and :func:`repro.engine.scaleout.scale_out_reduce` runs the stacks
+    through the worker's Eq. 3 grid — a ``1 x 1`` grid is one stacked
+    matmul.  Each share is one stacked matmul plus one tile-group
     accounting for all ``B`` jobs (with zero gating off, the accounting is
     a pure function of the shape).  The cycle and exact engines, zero
     gating, mixed shapes and an empty batch take a per-job ``run_gemm``

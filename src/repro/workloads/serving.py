@@ -209,9 +209,9 @@ def synthetic_trace(
     run on a pool of ``min(fleet size, CPUs)`` threads on one-thread BLAS
     (:mod:`repro.engine.blas`), so a fleet at least as large as the CPU
     count spreads their draws and matmuls over every core.  Conv jobs
-    draw their IFMAP and filters from the same per-job children here and
-    im2col-lower them at construction, as :class:`repro.serve.job.ConvJob`
-    always does.
+    draw their IFMAP and filters from the same per-job children here; a
+    :class:`repro.serve.job.ConvJob` keeps only them and their geometry,
+    and is im2col-lowered where its batch runs.
 
     Parameters
     ----------

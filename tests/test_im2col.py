@@ -26,7 +26,22 @@ from repro.im2col.reuse_analysis import (
     reused_elements_per_period,
     single_row_repetition_fraction,
 )
+from repro.im2col.software import conv_windows
 from repro.im2col.traffic import network_traffic
+
+
+def _im2col_by_window(ifmap, kernel, stride, padding):
+    """The per-output-pixel loop ``im2col`` replaced, kept as its reference."""
+    k_h, k_w = kernel
+    padded = np.pad(ifmap, ((0, 0), (padding, padding), (padding, padding)))
+    out_h = (padded.shape[1] - k_h) // stride + 1
+    out_w = (padded.shape[2] - k_w) // stride + 1
+    rows = [
+        padded[:, p * stride : p * stride + k_h, q * stride : q * stride + k_w].ravel()
+        for p in range(out_h)
+        for q in range(out_w)
+    ]
+    return np.array(rows)
 
 
 def _paper_example_layer() -> ConvShape:
@@ -70,6 +85,31 @@ class TestSoftwareIm2col:
     def test_rejects_bad_ifmap_rank(self):
         with pytest.raises(ValueError, match=r"\(C, H, W\)"):
             im2col(np.zeros((5, 5)), (3, 3))
+
+    @given(
+        channels=st.integers(1, 3),
+        height=st.integers(1, 9),
+        width=st.integers(1, 9),
+        k_h=st.integers(1, 4),
+        k_w=st.integers(1, 4),
+        stride=st.integers(1, 3),
+        padding=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_matches_the_per_window_loop(
+        self, channels, height, width, k_h, k_w, stride, padding, seed
+    ):
+        """The strided view lowers bit for bit like a loop over the windows."""
+        if height + 2 * padding < k_h or width + 2 * padding < k_w:
+            return  # no window fits: conv_output_shape rejects the layer
+        ifmap = np.random.default_rng(seed).standard_normal((channels, height, width))
+        lowered = im2col(ifmap, (k_h, k_w), stride=stride, padding=padding)
+        expected = _im2col_by_window(ifmap, (k_h, k_w), stride, padding)
+        assert np.array_equal(lowered, expected)
+        windows = conv_windows(ifmap, (k_h, k_w), stride, padding)
+        assert not windows.flags.writeable
+        assert np.array_equal(windows.reshape(-1, expected.shape[0]), expected.T)
 
     def test_row_major_windows_overlap(self):
         row = np.arange(6, dtype=float)
