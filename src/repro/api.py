@@ -52,7 +52,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -68,7 +68,7 @@ from repro.energy.dram_energy import dram_energy_mj
 from repro.engine import DEFAULT_ENGINE, normalize_engine
 from repro.engine.batched import GemmExecution, execute_gemm
 from repro.engine.cache import cached_conv_cycles, cached_gemm_cycles
-from repro.engine.scaleout import ScaleOutExecution, scale_out_reduce
+from repro.engine.scaleout import scale_out_reduce
 from repro.im2col.lowering import ConvShape, lower_conv_operands
 from repro.im2col.software import col2im_output
 from repro.im2col.traffic import (
@@ -351,7 +351,20 @@ class _AcceleratorBase:
         b = np.asarray(b, dtype=np.float64)
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise ValueError("operands must be 2-D with agreeing inner dimensions")
+        execution = self._execute(a, b)
+        return self._results(execution, (name,), (execution.output,))[0]
 
+    def _execute(self, a: np.ndarray, b: np.ndarray) -> GemmExecution:
+        """Run ``a @ b`` on the configured engine across the Eq. 3 grid.
+
+        One share runner per engine — :func:`repro.engine.batched.execute_gemm`
+        for the wavefront engines, :meth:`_run_gemm_cycle` for the cycle
+        engine — and :func:`repro.engine.scaleout.scale_out_reduce` owns
+        the reduction (a ``1 x 1`` grid passes the single share through).
+        Equally batched ``(B, M, K) x (B, K, N)`` stacks run on the
+        ``"wavefront"`` engine without zero gating only; the counters are
+        those of one GEMM.
+        """
         if self.engine != "cycle":
             def run_share(a_share: np.ndarray, b_share: np.ndarray) -> GemmExecution:
                 return execute_gemm(
@@ -366,35 +379,41 @@ class _AcceleratorBase:
                 )
         else:
             run_share = self._run_gemm_cycle
+        return scale_out_reduce(a, b, self.dataflow, *self.scale_out, run_share)
 
-        execution: GemmExecution | ScaleOutExecution
-        if self.scale_out == (1, 1):
-            execution = run_share(a, b)
-        else:
-            # Eq. 3 partitioning with the same share runner; the reduction
-            # contract (output scatter, makespan, summed counters) lives in
-            # one place for every engine.
-            execution = scale_out_reduce(
-                a, b, self.dataflow, self.scale_out[0], self.scale_out[1], run_share
-            )
+    def _results(
+        self,
+        execution: GemmExecution,
+        names: Sequence[str],
+        outputs: Iterable[np.ndarray],
+    ) -> list[RunResult]:
+        """One :class:`RunResult` per GEMM of ``execution``, named in order.
+
+        ``outputs`` are the GEMMs' output matrices (the slices of a
+        stacked execution's output); every GEMM shares the execution's
+        cycles and counters, so utilisation is validated once.
+        """
         utilization = _validated_utilization(
             execution.active_pe_cycles,
             self._total_pes,
             execution.total_cycles,
-            f"run_gemm({name!r})",
+            f"run_gemm({names[0]!r})",
         )
-        return RunResult(
-            name=name,
-            cycles=execution.total_cycles,
-            macs=execution.macs,
-            utilization=utilization,
-            output=execution.output,
-            active_pe_cycles=execution.active_pe_cycles,
-            engine=self.engine,
-            performed_macs=execution.mac_count,
-            gated_macs=execution.gated_macs,
-            scale_out=self.scale_out,
-        )
+        return [
+            RunResult(
+                name=name,
+                cycles=execution.total_cycles,
+                macs=execution.macs,
+                utilization=utilization,
+                output=output,
+                active_pe_cycles=execution.active_pe_cycles,
+                engine=self.engine,
+                performed_macs=execution.mac_count,
+                gated_macs=execution.gated_macs,
+                scale_out=self.scale_out,
+            )
+            for name, output in zip(names, outputs)
+        ]
 
     def _run_gemm_cycle(self, a: np.ndarray, b: np.ndarray) -> GemmExecution:
         """One array's share through the cycle-accurate tile simulators.

@@ -31,10 +31,12 @@ Accumulation-order contract
 Partial sums enter each array column at row 0 and move down one row per
 cycle, so every output element is accumulated in **ascending stationary-row
 order** (``r = 0 .. S_R-1``).  The simulator performs the additions in
-exactly that order; it is part of the golden contract that the vectorized
-wavefront engine (:class:`repro.engine.wavefront.ConventionalWavefrontStationaryArray`
-and the batched executor) reproduces bit-for-bit.  This simulator is the
-cycle-level reference the engine test-suite cross-validates against.
+exactly that order; it is part of the golden contract that the
+``"wavefront-exact"`` engine (:func:`repro.engine.batched.execute_gemm`
+with ``exact=True``, accumulating through
+:func:`repro.engine.wavefront.sequential_matmul`) reproduces bit-for-bit.
+This simulator is the cycle-level reference the engine test-suite
+cross-validates against.
 """
 
 from __future__ import annotations

@@ -48,26 +48,45 @@ class ZeroGatingStats:
         return self.gated_macs / self.total_macs
 
 
+def zero_gating_counts(a: np.ndarray, b: np.ndarray) -> tuple[int, int]:
+    """``(performed_macs, gated_macs)`` of ``a @ b`` under zero gating.
+
+    A MAC ``(i, j, s)`` is gated iff ``a[i, s] == 0`` or ``b[s, j] == 0``, so
+    the number of MACs actually performed is the per-``s`` product of operand
+    non-zero counts summed over the reduction dimension.  Neither tiling nor
+    the dataflow changes it, so the engines count it once per GEMM.
+
+    >>> import numpy as np
+    >>> zero_gating_counts(np.array([[1.0, 0.0], [2.0, 3.0]]),
+    ...                    np.array([[0.0, 4.0, 5.0], [6.0, 0.0, 7.0]]))
+    (6, 6)
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    m, k = a.shape
+    _, n = b.shape
+    a_nonzero = np.count_nonzero(a, axis=0).astype(np.int64)  # per column s
+    b_nonzero = np.count_nonzero(b, axis=1).astype(np.int64)  # per row s
+    # einsum with a pinned int64 accumulator — np.dot cannot pin one, and
+    # gated-MAC counts feed cycle accounting that must stay integer-exact.
+    performed = int(np.einsum("s,s->", a_nonzero, b_nonzero, dtype=np.int64))
+    return performed, m * n * k - performed
+
+
 def zero_gating_stats(a: np.ndarray, b: np.ndarray) -> ZeroGatingStats:
     """Count how many MACs of ``a @ b`` would be skipped by zero gating.
 
-    A MAC ``a[m, k] * b[k, n]`` is gated when either element is zero, so the
-    gated count is ``M*K*N - nnz_per_k(a) . nnz_per_k(b)`` where the dot
-    product pairs the per-``k`` non-zero counts of the two operands.
+    The gated count is :func:`zero_gating_counts`'s; the sparsities are the
+    fractions of zero elements in each operand.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError("operands must be 2-D with agreeing inner dimensions")
-    m, k = a.shape
-    _, n = b.shape
-    nonzero_a_per_k = (a != 0).sum(axis=0)  # length K
-    nonzero_b_per_k = (b != 0).sum(axis=1)  # length K
-    dense_macs = m * k * n
-    executed = int(np.dot(nonzero_a_per_k, nonzero_b_per_k))
+    performed, gated = zero_gating_counts(a, b)
     return ZeroGatingStats(
-        total_macs=dense_macs,
-        gated_macs=dense_macs - executed,
+        total_macs=performed + gated,
+        gated_macs=gated,
         a_sparsity=float((a == 0).mean()),
         b_sparsity=float((b == 0).mean()),
     )

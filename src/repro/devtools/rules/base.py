@@ -64,12 +64,9 @@ class LintConfig:
         "src/repro/engine/store.py",
     )
     #: The tracing layer, where *no* wall-clock read is legal (not even
-    #: the ``clock_allowed`` escapes) outside the annotation helpers —
-    #: trace exports are byte-compared across same-seed runs in CI.
+    #: the ``clock_allowed`` escapes) — trace exports are byte-compared
+    #: across same-seed runs in CI.
     obs_paths: tuple[str, ...] = ("src/repro/obs/",)
-    #: Function names sanctioned to read the wall clock inside
-    #: ``obs_paths`` (they tag their events with the ``wall`` category).
-    wall_annotation_helpers: tuple[str, ...] = ("wall_clock_annotation",)
     #: Method names that append events to a tracer; their arguments must
     #: never embed a wall-clock read.
     trace_emit_methods: tuple[str, ...] = ("emit", "instant", "complete", "counter")

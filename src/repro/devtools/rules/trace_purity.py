@@ -4,10 +4,7 @@ Invariant: a ``repro serve --trace`` file is a pure function of (trace,
 seed, fleet spec) — CI diffs the bytes of two same-seed runs.  Two leaks
 would break that silently:
 
-* a wall-clock read anywhere in :mod:`repro.obs` outside the single
-  sanctioned annotation helper (``wall_clock_annotation``, which tags
-  its event with the ``wall`` category so deterministic consumers can
-  filter it), and
+* a wall-clock read anywhere in :mod:`repro.obs`, and
 * a tracer *emission* in a simulated-clock path whose arguments embed a
   wall-clock read — e.g. ``tracer.instant("x", int(perf_counter()))``.
   RPL102 permits ``time.perf_counter`` in ``src/repro/serve/`` for
@@ -15,9 +12,9 @@ would break that silently:
   flows into a trace event the export stops being byte-stable.
 
 Scope A covers ``obs_paths`` (every wall-clock read, including the
-otherwise-legal ``perf_counter``, outside ``wall_annotation_helpers``);
-scope B covers ``clock_pure_paths`` (wall-clock reads inside the
-argument list of any ``trace_emit_methods`` call).
+otherwise-legal ``perf_counter``); scope B covers ``clock_pure_paths``
+(wall-clock reads inside the argument list of any ``trace_emit_methods``
+call).
 """
 
 from __future__ import annotations
@@ -51,14 +48,12 @@ class TracePurityRule(Rule):
     name = "trace-purity"
     severity = "error"
     fix_hint = (
-        "trace events carry simulated cycles only; route any wall-clock "
-        "annotation through obs.tracer.wall_clock_annotation so it lands "
-        "in the filterable 'wall' category"
+        "trace events carry simulated cycles only; time host work outside "
+        "the tracing layer and keep the reading out of trace events"
     )
     description = (
-        "no wall-clock reads in src/repro/obs/ outside the sanctioned "
-        "annotation helper, and no wall-clock values in tracer emission "
-        "arguments (byte-identical trace exports depend on it)"
+        "no wall-clock reads in src/repro/obs/, and no wall-clock values in "
+        "tracer emission arguments (byte-identical trace exports depend on it)"
     )
 
     def check_module(self, ctx: ModuleContext) -> list[Finding]:
@@ -77,14 +72,9 @@ class TracePurityRule(Rule):
     def _check_obs_reads(
         self, ctx: ModuleContext, node: ast.AST, aliases: dict[str, str]
     ) -> list[Finding]:
-        """Scope A: wall reads in the tracing layer outside the helper."""
+        """Scope A: any wall read in the tracing layer."""
         findings: list[Finding] = []
         for child in ast.iter_child_nodes(node):
-            if (
-                isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and child.name in self.config.wall_annotation_helpers
-            ):
-                continue  # the one place a wall read is sanctioned
             if isinstance(child, (ast.Attribute, ast.Name)):
                 name = _canonical(child, aliases)
                 if name in _WALL_READS:
@@ -92,8 +82,7 @@ class TracePurityRule(Rule):
                         self.finding(
                             ctx,
                             child,
-                            f"wall-clock read '{name}' in the tracing layer "
-                            "outside wall_clock_annotation",
+                            f"wall-clock read '{name}' in the tracing layer",
                         )
                     )
                     continue  # don't re-flag sub-chains of this read

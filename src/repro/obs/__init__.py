@@ -44,12 +44,7 @@ from repro.obs.export import (
     write_trace,
 )
 from repro.obs.summary import format_trace_summary, summarize_trace
-from repro.obs.tracer import (
-    WALL_CATEGORY,
-    TraceEvent,
-    Tracer,
-    wall_clock_annotation,
-)
+from repro.obs.tracer import TraceEvent, Tracer
 
 __all__ = [
     "FailOn",
@@ -58,7 +53,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "TraceEvent",
     "Tracer",
-    "WALL_CATEGORY",
     "bench_artifact",
     "chrome_trace",
     "compare_metrics",
@@ -72,7 +66,6 @@ __all__ = [
     "normalize_artifact",
     "parse_fail_on",
     "summarize_trace",
-    "wall_clock_annotation",
     "write_chrome_trace",
     "write_jsonl_trace",
     "write_trace",

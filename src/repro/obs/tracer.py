@@ -9,9 +9,8 @@ worker class and one thread per worker.
 
 Determinism is the design constraint: event payloads carry only simulated
 quantities (cycles, counts, ids), ``args`` are stored key-sorted, and the
-*only* sanctioned wall-clock read is :func:`wall_clock_annotation`, which
-tags its event with the ``"wall"`` category so exports and diffs can strip
-it.  ``reprolint`` rule RPL106 enforces exactly this split.
+tracing layer never reads the wall clock.  ``reprolint`` rule RPL106
+enforces that.
 
 Instrumented call sites keep the disabled path at ~zero cost by holding
 ``tracer = None`` and guarding each emission with ``if tracer is not None``.
@@ -28,15 +27,10 @@ Instrumented call sites keep the disabled path at ~zero cost by holding
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 #: Chrome trace-event phases used by this tracer: instant, complete, counter.
 PHASES = ("i", "X", "C")
-
-#: Category given to wall-clock annotation events (strip these to compare
-#: traces across machines/runs).
-WALL_CATEGORY = "wall"
 
 
 @dataclass(frozen=True)
@@ -193,40 +187,8 @@ class Tracer:
         return len(self._events)
 
 
-def wall_clock_annotation(
-    tracer: Tracer,
-    name: str = "wall.annotation",
-    *,
-    cycle: int = 0,
-    pid: int = 0,
-    tid: int = 0,
-    **args: object,
-) -> float:
-    """Attach an opt-in wall-clock annotation and return the reading.
-
-    This helper is the *single* place the tracing layer may read the wall
-    clock (``reprolint`` rule RPL106 flags any other read).  The event is
-    categorized :data:`WALL_CATEGORY` so deterministic consumers can filter
-    it out; nothing in the default ``repro serve --trace`` path calls it,
-    which is what keeps traces byte-identical across same-seed runs.
-
-    >>> tracer = Tracer()
-    >>> seconds = wall_clock_annotation(tracer, cycle=7, stage="drain")
-    >>> event = tracer.events[0]
-    >>> event.category == WALL_CATEGORY and event.cycle == 7
-    True
-    """
-    seconds = time.perf_counter()
-    payload = dict(args)
-    payload["wall_seconds"] = seconds
-    tracer.instant(name, cycle, pid=pid, tid=tid, category=WALL_CATEGORY, **payload)
-    return seconds
-
-
 __all__ = [
     "PHASES",
-    "WALL_CATEGORY",
     "TraceEvent",
     "Tracer",
-    "wall_clock_annotation",
 ]

@@ -18,7 +18,7 @@ class _Tracer:
 
 
 def stamp_outside_helper():
-    # A wall read in the tracing layer outside wall_clock_annotation.
+    # Any wall read in the tracing layer.
     return time.perf_counter()  # expect: RPL106
 
 

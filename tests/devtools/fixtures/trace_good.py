@@ -1,11 +1,7 @@
 """Fixture: deterministic tracing that must lint clean under RPL106.
 
-Simulated-cycle emissions, plus the one sanctioned wall-clock read —
-inside ``wall_clock_annotation``, which tags its event so deterministic
-consumers can filter it out.
+Simulated-cycle emissions only: the tracing layer reads no wall clock.
 """
-
-import time
 
 
 class _Tracer:
@@ -14,15 +10,6 @@ class _Tracer:
 
     def counter(self, name, cycle, **args):
         pass
-
-
-def wall_clock_annotation(tracer):
-    # The single sanctioned wall read in the tracing layer.  The reading
-    # enters the event as an already-bound local, which scope B's
-    # syntactic check deliberately does not chase.
-    seconds = time.perf_counter()
-    tracer.instant("wall.annotation", 0, wall_seconds=seconds)
-    return seconds
 
 
 def emit_simulated(tracer, cycle):

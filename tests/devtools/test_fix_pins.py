@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.arch.dataflow import Dataflow
+from repro.core.zero_gating import zero_gating_counts
 from repro.engine.cache import (
     cached_gemm_cycles,
     clear_estimate_cache,
@@ -26,7 +27,7 @@ from repro.engine.cache import (
     estimate_cache_info,
     gemm_estimate_key,
 )
-from repro.engine.wavefront import sequential_matmul, zero_gating_counts
+from repro.engine.wavefront import sequential_matmul
 from repro.golden.conv import conv2d, depthwise_conv2d
 from repro.im2col.lowering import ConvShape
 

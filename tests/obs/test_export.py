@@ -8,13 +8,11 @@ import tracemalloc
 import pytest
 
 from repro.obs import (
-    WALL_CATEGORY,
     TraceEvent,
     Tracer,
     chrome_trace,
     events_from_dicts,
     load_trace_events,
-    wall_clock_annotation,
     write_chrome_trace,
     write_jsonl_trace,
     write_trace,
@@ -59,17 +57,6 @@ class TestTracer:
         tracer.clear()
         assert len(tracer) == 0
         assert tracer.process_labels == {} and tracer.thread_labels == {}
-
-    def test_wall_annotation_is_categorized_for_stripping(self):
-        tracer = Tracer()
-        seconds = wall_clock_annotation(tracer, cycle=3, stage="drain")
-        event = tracer.events[0]
-        assert event.category == WALL_CATEGORY
-        assert dict(event.args)["wall_seconds"] == seconds
-        deterministic = [
-            e for e in tracer.events if e.category != WALL_CATEGORY
-        ]
-        assert deterministic == []
 
 
 class TestExportFormats:
