@@ -27,6 +27,7 @@ See ``docs/static-analysis.md`` for the rule catalogue and the
 from repro.devtools.findings import SEVERITIES, Finding
 from repro.devtools.pragmas import PRAGMA_RULE_ID, Pragma, parse_pragmas
 from repro.devtools.runner import (
+    LintInputError,
     LintReport,
     default_root,
     doctest_modules,
@@ -37,6 +38,7 @@ from repro.devtools.rules import RULE_CLASSES, all_rule_ids
 
 __all__ = [
     "Finding",
+    "LintInputError",
     "LintReport",
     "PRAGMA_RULE_ID",
     "Pragma",

@@ -85,12 +85,23 @@ def iter_source_files(root: Path) -> list[Path]:
     return sorted((root / "src" / "repro").rglob("*.py"))
 
 
-def _load_module(root: Path, path: Path) -> ModuleContext | None:
+class LintInputError(Exception):
+    """A file the analyzer was asked to check could not be read or parsed.
+
+    A run that skipped it would report the file clean without checking it,
+    so the CLI exits 2 with this message instead.
+    """
+
+
+def _load_module(root: Path, path: Path) -> ModuleContext:
     try:
         source = path.read_text(encoding="utf-8")
         tree = ast.parse(source, filename=str(path))
-    except (OSError, SyntaxError):
-        return None
+    except (OSError, UnicodeDecodeError) as error:
+        reason = getattr(error, "strerror", None) or error
+        raise LintInputError(f"cannot read {path}: {reason}") from None
+    except (SyntaxError, ValueError) as error:  # ValueError: a NUL byte
+        raise LintInputError(f"cannot parse {path}: {error}") from None
     resolved = path.resolve()
     try:
         rel_path = resolved.relative_to(root.resolve()).as_posix()
@@ -111,19 +122,20 @@ def run_lint(
 
     ``root`` defaults to the repository root; ``paths`` restricts the run
     to specific files (fixture tests use this); ``config`` and ``rules``
-    override the rule scope and registry.
+    override the rule scope and registry.  A file that cannot be read or
+    parsed raises :class:`LintInputError`.
     """
     root = default_root() if root is None else root
     config = LintConfig() if config is None else config
     rule_instances = [cls(config) for cls in (rules or RULE_CLASSES)]
     files = iter_source_files(root) if paths is None else list(paths)
+    if not files:
+        raise LintInputError(f"no Python files to lint under {root / 'src' / 'repro'}")
 
     modules: dict[str, ModuleContext] = {}
     pragmas: dict[str, list[Pragma]] = {}
     for path in files:
         ctx = _load_module(root, path)
-        if ctx is None:
-            continue
         modules[ctx.rel_path] = ctx
         pragmas[ctx.rel_path] = parse_pragmas(ctx.source)
 
@@ -215,6 +227,5 @@ def doctest_modules(
     modules: dict[str, ModuleContext] = {}
     for path in iter_source_files(root):
         ctx = _load_module(root, path)
-        if ctx is not None:
-            modules[ctx.rel_path] = ctx
+        modules[ctx.rel_path] = ctx
     return ApiCoverageRule(config).doctest_modules(root, modules)

@@ -4,11 +4,15 @@ Scale-out execution replaces one monolithic array with a grid of ``P_R x
 P_C`` smaller arrays working on disjoint shares of the mapped spatial
 dimensions (Eq. 3 of the paper): each array receives ``ceil(S_R / P_R) x
 ceil(S_C / P_C)`` of the spatial extent and processes its share exactly like
-a scale-up array.  :func:`scale_out_reduce` runs each share through a
-caller-supplied share runner — the accelerator façades
+a scale-up array.  :func:`iter_share_spans` is the one walk over the
+shares: it yields each share's spans of M, K and N.
+:func:`scale_out_reduce` slices the operands from those spans, runs each
+share through a caller-supplied share runner — the accelerator façades
 (:meth:`repro.api._AcceleratorBase._execute`) pass
 :func:`repro.engine.batched.execute_gemm` or the cycle-engine tile loop —
 and reduces the shares into one :class:`~repro.engine.batched.GemmExecution`.
+Planning (:meth:`repro.api._AcceleratorBase.planned_gemm_cycles`) takes
+the makespan over the same spans without touching operands.
 
 What the spatial shares mean depends on the dataflow (Table 1):
 
@@ -38,7 +42,6 @@ reduction as a single ``run_gemm``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -48,104 +51,48 @@ from repro.arch.tiling import partition_spans
 from repro.engine.batched import GemmExecution, TileGroup, _check_operands
 
 
-@dataclass(frozen=True)
-class PartitionShare:
-    """One array's share of a scale-out GEMM.
+#: A ``(start, size)`` span of one GEMM axis.
+Span = tuple[int, int]
 
-    ``out_rows`` / ``out_cols`` are ``(start, size)`` spans locating the
-    share's partial result in the full output (its last two axes);
-    ``reduces`` is True when the share produces partial sums that must be
-    accumulated (WS/IS grid rows) rather than a disjoint output block (OS).
-    ``a`` and ``b`` are views of the operands, leading batch axes included.
-    """
-
-    grid_row: int
-    grid_col: int
-    a: np.ndarray
-    b: np.ndarray
-    out_rows: tuple[int, int]
-    out_cols: tuple[int, int]
-    reduces: bool
+#: The two GEMM axes (0 = M, 1 = K, 2 = N) that Table 1 maps onto the array
+#: rows (``S_R``) and columns (``S_C``) for each dataflow; Eq. 3 splits them
+#: across the grid rows and columns.
+_GRID_AXES = {
+    Dataflow.OUTPUT_STATIONARY: (0, 2),
+    Dataflow.WEIGHT_STATIONARY: (1, 0),
+    Dataflow.INPUT_STATIONARY: (1, 2),
+}
 
 
-def iter_partition_share_shapes(
+def iter_share_spans(
     m: int, k: int, n: int, dataflow: Dataflow, p_r: int, p_c: int
-) -> Iterator[tuple[int, int, int]]:
-    """Yield each non-empty share's ``(M, K, N)`` GEMM shape, no operands.
+) -> Iterator[tuple[Span, Span, Span]]:
+    """Yield each non-empty Eq. 3 share's ``(start, size)`` spans of M, K, N.
 
-    The shape-only twin of :func:`iter_partition_shares` (same spans, same
-    skip rule, same order) for callers that need Eq. 3 geometry without
-    data — e.g. the serving scheduler's makespan planning
-    (:func:`repro.serve.scheduler.planned_gemm_cycles`).  Keeping it next
-    to the operand iterator is what stops the two from drifting apart.
+    The dataflow only picks which two axes the grid splits (Table 1's
+    ``S_R`` and ``S_C``): OS splits M x N, WS splits K x M and IS splits
+    K x N; the third axis stays whole.  Shares come in grid-row-major
+    order with ascending grid rows, so accumulating the WS/IS shares
+    (which split the reduction axis K) in iteration order reproduces the
+    ascending-``K`` accumulation contract.  Arrays left idle by a grid
+    larger than the extent get empty spans and are skipped.  Execution
+    (:func:`scale_out_reduce`) slices operands from these spans and
+    planning (:meth:`repro.api._AcceleratorBase.planned_gemm_cycles`)
+    prices their shapes, so the two cannot drift apart.
 
     >>> from repro.arch.dataflow import Dataflow
-    >>> list(iter_partition_share_shapes(
-    ...     6, 4, 6, Dataflow.OUTPUT_STATIONARY, 2, 2))
-    [(3, 4, 3), (3, 4, 3), (3, 4, 3), (3, 4, 3)]
+    >>> list(iter_share_spans(6, 4, 5, Dataflow.WEIGHT_STATIONARY, 2, 1))
+    [((0, 6), (0, 2), (0, 5)), ((0, 6), (2, 2), (0, 5))]
     """
-    if dataflow is Dataflow.OUTPUT_STATIONARY:
-        row_spans, col_spans = partition_spans(m, p_r), partition_spans(n, p_c)
-    elif dataflow is Dataflow.WEIGHT_STATIONARY:
-        row_spans, col_spans = partition_spans(k, p_r), partition_spans(m, p_c)
-    else:
-        row_spans, col_spans = partition_spans(k, p_r), partition_spans(n, p_c)
-    for _, rs in row_spans:
-        for _, cs in col_spans:
-            if rs == 0 or cs == 0:
+    row_axis, col_axis = _GRID_AXES[dataflow]
+    extents = (m, k, n)
+    for row_span in partition_spans(extents[row_axis], p_r):
+        for col_span in partition_spans(extents[col_axis], p_c):
+            if row_span[1] == 0 or col_span[1] == 0:
                 continue
-            if dataflow is Dataflow.OUTPUT_STATIONARY:
-                yield (rs, k, cs)
-            elif dataflow is Dataflow.WEIGHT_STATIONARY:
-                yield (cs, rs, n)
-            else:
-                yield (m, rs, cs)
-
-
-def iter_partition_shares(
-    a: np.ndarray, b: np.ndarray, dataflow: Dataflow, p_r: int, p_c: int
-) -> Iterator[PartitionShare]:
-    """Yield each array's operand share of an Eq. 3 scale-out partitioning.
-
-    Shares are yielded in grid-row-major order with ascending grid rows, so
-    accumulating the reducing shares (WS/IS) in iteration order reproduces
-    the ascending-``K`` accumulation contract.  Empty shares (grids larger
-    than the spatial extent) are skipped.  Leading batch axes of ``a`` and
-    ``b`` pass through to every share's views.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    _check_operands(a, b)
-    m, k = a.shape[-2:]
-    n = b.shape[-1]
-    if dataflow is Dataflow.OUTPUT_STATIONARY:
-        row_spans, col_spans = partition_spans(m, p_r), partition_spans(n, p_c)
-    elif dataflow is Dataflow.WEIGHT_STATIONARY:
-        row_spans, col_spans = partition_spans(k, p_r), partition_spans(m, p_c)
-    else:
-        row_spans, col_spans = partition_spans(k, p_r), partition_spans(n, p_c)
-    for grid_row, (r0, rs) in enumerate(row_spans):
-        for grid_col, (c0, cs) in enumerate(col_spans):
-            if rs == 0 or cs == 0:
-                continue
-            if dataflow is Dataflow.OUTPUT_STATIONARY:
-                yield PartitionShare(
-                    grid_row, grid_col,
-                    a[..., r0 : r0 + rs, :], b[..., :, c0 : c0 + cs],
-                    (r0, rs), (c0, cs), reduces=False,
-                )
-            elif dataflow is Dataflow.WEIGHT_STATIONARY:
-                yield PartitionShare(
-                    grid_row, grid_col,
-                    a[..., c0 : c0 + cs, r0 : r0 + rs], b[..., r0 : r0 + rs, :],
-                    (c0, cs), (0, n), reduces=True,
-                )
-            else:
-                yield PartitionShare(
-                    grid_row, grid_col,
-                    a[..., :, r0 : r0 + rs], b[..., r0 : r0 + rs, c0 : c0 + cs],
-                    (0, m), (c0, cs), reduces=True,
-                )
+            spans = [(0, m), (0, k), (0, n)]
+            spans[row_axis], spans[col_axis] = row_span, col_span
+            yield spans[0], spans[1], spans[2]
 
 
 def scale_out_reduce(
@@ -195,11 +142,13 @@ def scale_out_reduce(
     output = np.zeros((*a.shape[:-2], m, n), dtype=np.float64)
     total_cycles = mac_count = gated_macs = active_pe_cycles = tile_count = 0
     groups: tuple[TileGroup, ...] = ()
-    for share in iter_partition_shares(a, b, dataflow, partitions_rows, partitions_cols):
-        execution = run_share(share.a, share.b)
-        r0, rs = share.out_rows
-        c0, cs = share.out_cols
-        output[..., r0 : r0 + rs, c0 : c0 + cs] += execution.output
+    for (m0, ms), (k0, ks), (n0, ns) in iter_share_spans(
+        m, k, n, dataflow, partitions_rows, partitions_cols
+    ):
+        execution = run_share(
+            a[..., m0 : m0 + ms, k0 : k0 + ks], b[..., k0 : k0 + ks, n0 : n0 + ns]
+        )
+        output[..., m0 : m0 + ms, n0 : n0 + ns] += execution.output
         total_cycles = max(total_cycles, execution.total_cycles)
         mac_count += execution.mac_count
         gated_macs += execution.gated_macs

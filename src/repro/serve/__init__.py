@@ -115,12 +115,9 @@ from repro.serve.faults import (
 )
 from repro.serve.fleet import (
     FLEET_ARCHS,
-    FleetClasses,
     WorkerSpec,
     build_fleet,
-    group_worker_classes,
     parse_fleet_spec,
-    worker_signature,
 )
 from repro.serve.job import (
     JOB_STATUSES,
@@ -167,7 +164,6 @@ from repro.serve.scheduler import (
     PLACEMENT_RANDOM,
     PLACEMENTS,
     AsyncGemmScheduler,
-    planned_gemm_cycles,
     run_batch,
     serial_baseline,
     stacked_matmul_is_bitexact,
@@ -211,12 +207,9 @@ __all__ = [
     "QueuedJob",
     "WeightedFairQueue",
     "FLEET_ARCHS",
-    "FleetClasses",
     "WorkerSpec",
     "build_fleet",
-    "group_worker_classes",
     "parse_fleet_spec",
-    "worker_signature",
     "ServeReport",
     "SloClassStats",
     "TenantServeStats",
@@ -229,7 +222,6 @@ __all__ = [
     "PLACEMENT_RANDOM",
     "PLACEMENTS",
     "AsyncGemmScheduler",
-    "planned_gemm_cycles",
     "run_batch",
     "serial_baseline",
     "stacked_matmul_is_bitexact",

@@ -9,7 +9,9 @@ drawn from a CNN layer pool) — with arrival rates calibrated in *offered
 load*: multiples of one worker's service capacity (the fleet's mean worker,
 when a possibly heterogeneous fleet is passed) rather than raw QPS, so a
 trace saturates a fleet the same way regardless of the array configuration
-it targets.
+it targets.  A worker's capacity comes from
+:meth:`~repro.api._AcceleratorBase.planned_gemm_cycles`, the tile-exact
+cycles the scheduler plans with.
 
 The construction is fully deterministic for a given seed: per-tenant
 substreams and per-job operand seeds come from ``numpy``'s seed-sequence
@@ -36,7 +38,6 @@ from repro.serve.job import (
     SeededJob,
     draw_operand,
 )
-from repro.serve.scheduler import planned_gemm_cycles
 from repro.workloads.gemm_workloads import TABLE3_WORKLOADS
 from repro.workloads.resnet50 import RESNET50_CONV_LAYERS
 
@@ -217,7 +218,7 @@ def synthetic_trace(
     ----------
     accelerator:
         Calibration target: the tile-exact cycles the pool's shapes occupy
-        it for (:func:`repro.serve.scheduler.planned_gemm_cycles`) set the
+        it for (:meth:`~repro.api._AcceleratorBase.planned_gemm_cycles`) set the
         mean service time that ``offered_load`` is expressed against.  A
         *sequence* of accelerators calibrates against a (possibly
         heterogeneous) fleet instead: the mean service time averages over
@@ -297,7 +298,7 @@ def synthetic_trace(
     # fleet is offered the load its *mean* worker sustains.
     def fleet_mean_cycles(m: int, k: int, n: int) -> float:
         return sum(
-            planned_gemm_cycles(worker, m, k, n) for worker in calibration
+            worker.planned_gemm_cycles(m, k, n) for worker in calibration
         ) / len(calibration)
 
     mean_cost = sum(

@@ -71,3 +71,26 @@ def test_doctest_modules_listing():
     # The list feeds `python -m doctest` in CI: every entry must exist.
     for rel in listed:
         assert (REPO_ROOT / rel).is_file(), rel
+
+
+def _assert_one_line_exit_two(proc: subprocess.CompletedProcess, named: str) -> None:
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("repro lint: ")
+    assert named in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_lint_missing_path_exits_two_with_one_line(tmp_path):
+    # A file that was asked for and not checked must not read as clean.
+    missing = tmp_path / "missing.py"
+    _assert_one_line_exit_two(run_cli("--path", str(missing)), str(missing))
+
+
+def test_lint_unparsable_file_exits_two_with_one_line(tmp_path):
+    broken = tmp_path / "broken.py"
+    broken.write_text("def f(:\n", encoding="utf-8")
+    _assert_one_line_exit_two(run_cli("--path", str(broken)), str(broken))
+
+
+def test_lint_root_without_sources_exits_two_with_one_line(tmp_path):
+    _assert_one_line_exit_two(run_cli("--root", str(tmp_path)), str(tmp_path))

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -412,3 +414,86 @@ class TestCachePersistenceCli:
             main(["serve", "--store", str(tmp_path / "x.journal")])
         assert exit_info.value.code == 2
         assert "--store" in capsys.readouterr().err
+
+
+#: Values each checked converter must reject (ROADMAP item 11).
+_REJECTED = {
+    cli._positive_int: ("-1", "0", "x"),
+    cli._non_negative_int: ("-1", "x"),
+    cli._positive_float: ("-1", "0", "x", "nan", "inf"),
+    cli._fraction: ("-1", "x", "nan", "inf", "1.5"),
+}
+
+
+def _commands(parser, prefix=()):
+    """``(argv prefix, parser)`` of every subcommand, nested ones included."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield (*prefix, name), sub
+                yield from _commands(sub, (*prefix, name))
+
+
+def _minimal_argv(prefix, parser, skip=None):
+    """The subcommand with a valid value for every required argument."""
+    argv = list(prefix)
+    for action in parser._actions:
+        optional = action.option_strings and not action.required
+        if action is skip or optional or isinstance(action, argparse._SubParsersAction):
+            continue
+        values = ["1"] * (action.nargs if isinstance(action.nargs, int) else 1)
+        argv += [*action.option_strings[:1], *values]
+    return argv
+
+
+def _numeric(action):
+    default = action.default
+    return action.type in (*_REJECTED, int, float) or (
+        isinstance(default, (int, float)) and not isinstance(default, bool)
+    )
+
+
+def _rejection_cases():
+    for prefix, parser in _commands(build_parser()):
+        for action in filter(_numeric, parser._actions):
+            for value in _REJECTED.get(action.type, ("x",)):
+                argv = _minimal_argv(prefix, parser, skip=action)
+                argv += [action.option_strings[0], value]
+                argv += ["1"] * ((action.nargs or 1) - 1)
+                yield pytest.param(prefix, action.type, argv, id=" ".join(argv))
+
+
+class TestParserWalk:
+    """Every numeric flag of every subcommand, found by walking ``build_parser()``."""
+
+    @pytest.mark.parametrize("prefix,converter,argv", list(_rejection_cases()))
+    def test_every_checked_flag_rejects_bad_values_with_one_line(
+        self, capsys, prefix, converter, argv
+    ):
+        # Every numeric flag goes through one of the checked converters, so
+        # a raw ``type=int`` (or an int default without a type) fails here.
+        assert converter in _REJECTED, argv
+        parser = build_parser()
+        parser.parse_args(_minimal_argv(prefix, dict(_commands(parser))[prefix]))
+        assert capsys.readouterr().err == ""
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
+        assert "Traceback" not in err
+        assert not any(check.__name__ in err for check in _REJECTED)
+
+    def test_the_walk_reaches_every_nested_command(self, capsys):
+        parser = build_parser()
+        commands = dict(_commands(parser))
+        assert {("cache", "warm"), ("trace", "summarize"), ("bench", "compare")} <= set(
+            commands
+        )
+        for prefix, command in commands.items():
+            if not any(  # "trace" and "bench" only run their subcommands
+                isinstance(action, argparse._SubParsersAction) and action.required
+                for action in command._actions
+            ):
+                parser.parse_args(_minimal_argv(prefix, command))
+        assert capsys.readouterr().err == ""
