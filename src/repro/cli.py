@@ -242,7 +242,7 @@ def _build_workers(
     ``--fleet`` spec ``fleet`` (a malformed one raises ``ValueError``);
     :func:`repro.serve.build_fleet` builds them either way.
     """
-    if fleet:
+    if fleet is not None:
         specs = parse_fleet_spec(fleet, default_arch=args.arch)
     else:
         if archs is None:
@@ -421,7 +421,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         print(f"repro serve: invalid --fleet spec: {error}", file=sys.stderr)
         return 2
     fault_plan = None
-    if args.faults:
+    if args.faults is not None:
         try:
             fault_plan = parse_fault_spec(args.faults)
         except ValueError as error:
@@ -462,7 +462,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         # e.g. an --offered-load or --deadline-slack whose cycles overflow.
         print(f"repro serve: {error}", file=sys.stderr)
         return 2
-    tracer = Tracer() if args.trace else None
+    tracer = Tracer() if args.trace is not None else None
     try:
         scheduler = AsyncGemmScheduler(
             fleet,

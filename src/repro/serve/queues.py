@@ -21,15 +21,15 @@ ordering always stays with the fair scheduler, so priorities cannot be used
 to steal another tenant's share).
 
 Deadline-aware orderings (``ordering="edf"`` / ``"least-laxity"``) layer a
-*deadline pool* on top: jobs from latency-target tenants that carry a
-deadline hint are pulled out of the fair rotation and served strictly
-first, ordered by absolute deadline (EDF) or by laxity — ``deadline - now
-- priced_cycles``, re-evaluated at each dequeue on the simulated clock.
-Best-effort tenants (and unhinted latency-target jobs) keep weighted-fair
-sharing among themselves, so deadline ordering never reshuffles the
-best-effort service order.  Pool dequeues still charge the owning tenant's
-virtual time, so a latency-target tenant's deadline-served cycles count
-against its fair share wherever it also competes in the fair rotation.
+*deadline pool* on top: urgent entries (:attr:`QueuedJob.urgent`: hinted
+jobs of latency-target tenants, within budget) are pulled out of the fair
+rotation and served strictly first, ordered by absolute deadline (EDF) or
+by laxity — ``deadline - now - priced_cycles``, re-evaluated at each
+dequeue on the simulated clock.  Every other entry keeps weighted-fair
+sharing, so deadline ordering never reshuffles the best-effort service
+order.  Pool dequeues still charge the owning tenant's virtual time, so a
+latency-target tenant's deadline-served cycles count against its fair
+share wherever it also competes in the fair rotation.
 """
 
 from __future__ import annotations
@@ -37,9 +37,10 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Mapping
 
-from repro.serve.job import SLO_LATENCY_TARGET, AnyJob
+from repro.serve.job import SLO_BEST_EFFORT, SLO_LATENCY_TARGET, AnyJob
 
 #: Admission policies for over-budget tenants.
 POLICY_REJECT = "reject"
@@ -122,7 +123,9 @@ class QueuedJob:
     dispatches that already failed under a fault plan (0 for a job that
     has never been dispatched); ``preemptions`` counts how many times the
     job was cut out of a not-yet-executed batch by a tighter-deadline
-    arrival — preemption is not a retry, so the two never mix.
+    arrival — preemption is not a retry, so the two never mix.  ``slo`` is
+    the owning tenant's SLO class, looked up once at admission; shedding
+    and the job's result read it, and :attr:`urgent` derives from it.
     """
 
     job: AnyJob
@@ -131,6 +134,23 @@ class QueuedJob:
     enqueued_cycle: int = 0
     attempts: int = 0
     preemptions: int = 0
+    slo: str = SLO_BEST_EFFORT
+
+    @property
+    def urgent(self) -> bool:
+        """Whether the entry gets deadline service.
+
+        The one urgency rule: a latency-target tenant's job with a
+        deadline hint that is not deprioritized — blowing the admission
+        budget forfeits deadline service.  Under a deadline ordering it
+        decides who enters the queue's deadline pool and who places by
+        laxity; with preemption on, it decides who may cut a batch.
+        """
+        return (
+            self.slo == SLO_LATENCY_TARGET
+            and self.job.deadline_hint_cycles is not None
+            and not self.deprioritized
+        )
 
     @property
     def deadline_cycle(self) -> int | None:
@@ -194,12 +214,12 @@ class WeightedFairQueue:
     a global FIFO backlog that is only served — and only batched from —
     once every in-budget queue is empty.
 
-    With ``ordering="edf"`` or ``"least-laxity"``, jobs from tenants
-    ``slo_classes`` marks latency-target that carry a deadline hint enter a
-    *deadline pool* instead of their tenant's FIFO.  The pool is served
-    with strict priority over the fair rotation, ordered by absolute
-    deadline (EDF) or by laxity at the dequeue instant (least-laxity);
-    within a common ``now`` the two differ only when priced costs differ.
+    With ``ordering="edf"`` or ``"least-laxity"``, urgent entries
+    (:attr:`QueuedJob.urgent`) enter a *deadline pool* instead of their
+    tenant's FIFO.  The pool is served with strict priority over the fair
+    rotation, ordered by absolute deadline (EDF) or by laxity at the
+    dequeue instant (least-laxity); within a common ``now`` the two differ
+    only when priced costs differ.
 
     >>> import numpy as np
     >>> from repro.serve.job import Job
@@ -216,15 +236,14 @@ class WeightedFairQueue:
 
     EDF pulls a hinted latency-target job ahead of the fair rotation:
 
-    >>> edf = WeightedFairQueue(
-    ...     ordering=ORDERING_EDF, slo_classes={"rt": "latency-target"})
+    >>> edf = WeightedFairQueue(ordering=ORDERING_EDF)
     >>> edf.push(QueuedJob(
     ...     job=Job(job_id="be-0", tenant="bulk", a=np.eye(4), b=np.eye(4)),
     ...     priced_cycles=100))
     >>> edf.push(QueuedJob(
     ...     job=Job(job_id="rt-0", tenant="rt", a=np.eye(4), b=np.eye(4),
     ...             deadline_hint_cycles=500),
-    ...     priced_cycles=100))
+    ...     priced_cycles=100, slo="latency-target"))
     >>> [entry.job.job_id for entry in edf.next_batch(max_batch=2)]
     ['rt-0', 'be-0']
     """
@@ -234,7 +253,6 @@ class WeightedFairQueue:
         weights: Mapping[str, float] | None = None,
         *,
         ordering: str = ORDERING_FAIR,
-        slo_classes: Mapping[str, str] | None = None,
     ) -> None:
         if ordering not in ORDERINGS:
             raise ValueError(
@@ -246,7 +264,6 @@ class WeightedFairQueue:
             if weight <= 0:
                 raise ValueError(f"tenant {tenant!r} weight must be > 0, got {weight}")
         self.ordering = ordering
-        self._slo_classes = dict(slo_classes or {})
         self._tenants: dict[str, _TenantQueue] = {}
         self._backlog: deque[QueuedJob] = deque()
         self._deadline_pool: list[QueuedJob] = []
@@ -265,21 +282,6 @@ class WeightedFairQueue:
             self._tenants[name] = queue
         return queue
 
-    def _pool_eligible(self, entry: QueuedJob) -> bool:
-        """Whether an entry is served from the deadline pool.
-
-        Only hinted jobs of latency-target tenants qualify, and only under
-        a non-fair ordering; deprioritized (over-budget) work never jumps
-        into the pool — blowing the admission budget forfeits deadline
-        service.
-        """
-        return (
-            self.ordering != ORDERING_FAIR
-            and not entry.deprioritized
-            and entry.deadline_cycle is not None
-            and self._slo_classes.get(entry.job.tenant) == SLO_LATENCY_TARGET
-        )
-
     def _pool_key(
         self, entry: QueuedJob, now: int
     ) -> tuple[int, int, int, str]:
@@ -291,7 +293,7 @@ class WeightedFairQueue:
         Deadline, enqueue cycle and job id break ties deterministically.
         """
         deadline = entry.deadline_cycle
-        assert deadline is not None  # _pool_eligible guarantees a hint
+        assert deadline is not None  # only urgent entries enter the pool
         if self.ordering == ORDERING_LEAST_LAXITY:
             laxity = entry.laxity(now)
             assert laxity is not None
@@ -327,7 +329,7 @@ class WeightedFairQueue:
                 self._lapse_heap = sorted(
                     {item for item in self._lapse_heap if item[1] in self._hinted_ids}
                 )
-        if self._pool_eligible(entry):
+        if self.ordering != ORDERING_FAIR and entry.urgent:
             self._deadline_pool.append(entry)
         elif entry.deprioritized:
             self._backlog.append(entry)
@@ -478,34 +480,22 @@ class WeightedFairQueue:
         longest-waiting entry of the sheddable class, which both frees
         the most-stale work and keeps the choice deterministic.
         """
-        oldest: QueuedJob | None = None
-        for queue in self._tenants.values():
-            for entry in queue.jobs:
-                if predicate(entry) and (
-                    oldest is None
-                    or (entry.enqueued_cycle, entry.job.job_id)
-                    < (oldest.enqueued_cycle, oldest.job.job_id)
-                ):
-                    oldest = entry
-        for entry in self._deadline_pool:
-            if predicate(entry) and (
-                oldest is None
-                or (entry.enqueued_cycle, entry.job.job_id)
-                < (oldest.enqueued_cycle, oldest.job.job_id)
-            ):
-                oldest = entry
-        for entry in self._backlog:
-            if predicate(entry) and (
-                oldest is None
-                or (entry.enqueued_cycle, entry.job.job_id)
-                < (oldest.enqueued_cycle, oldest.job.job_id)
-            ):
-                oldest = entry
+        oldest = min(
+            (
+                entry
+                for entry in chain(
+                    self._deadline_pool,
+                    self._backlog,
+                    *(queue.jobs for queue in self._tenants.values()),
+                )
+                if predicate(entry)
+            ),
+            key=lambda entry: (entry.enqueued_cycle, entry.job.job_id),
+            default=None,
+        )
         if oldest is None:
             return None
-        target_id = oldest.job.job_id
-        removed = self.remove_matching(lambda entry: entry.job.job_id == target_id)
-        return removed[0]
+        return self.pop_job(oldest.job.job_id)
 
     def next_batch(
         self,

@@ -398,6 +398,7 @@ def compile_serve_report(
     max_batch: int,
     clock_hz: float,
     wall_seconds: float,
+    makespan_cycles: int,
     fleet: Sequence[str] = (),
     batch_window_cycles: int | None = None,
     placement: str = "priced",
@@ -407,17 +408,19 @@ def compile_serve_report(
     max_preemptions: int = 0,
     faults: str | None = None,
 ) -> ServeReport:
-    """Fold per-job results and worker counters into a :class:`ServeReport`."""
+    """Fold per-job results and worker counters into a :class:`ServeReport`.
+
+    ``makespan_cycles`` is the run's last busy cycle on any worker — the
+    end of its last batch, fault- or preemption-cut ones included — so
+    the report's throughput and every utilization share one denominator.
+    """
     results = sorted(job_results, key=lambda r: r.job_id)
 
     def count(entries: Sequence[JobResult], status: str) -> int:
         return sum(1 for r in entries if r.status == status)
 
     workers = tuple(sorted(workers, key=lambda w: w.worker_id))
-    makespan = max(
-        (r.finish_cycle for r in results if r.finish_cycle is not None), default=0
-    )
-    simulated_seconds = makespan / clock_hz if makespan else 0.0
+    simulated_seconds = makespan_cycles / clock_hz if makespan_cycles else 0.0
 
     by_tenant: dict[str, list[JobResult]] = {}
     for result in results:
@@ -493,7 +496,7 @@ def compile_serve_report(
         batched_jobs=sum(size for size in batch_sizes.values() if size > 1),
         max_batch=max_batch,
         fleet_size=len(workers),
-        makespan_cycles=makespan,
+        makespan_cycles=makespan_cycles,
         clock_hz=clock_hz,
         wall_seconds=wall_seconds,
         tenants=tuple(tenants),
@@ -501,7 +504,7 @@ def compile_serve_report(
         fleet=tuple(fleet),
         batch_window_cycles=batch_window_cycles,
         placement=placement,
-        worker_class_stats=_compile_class_stats(results, workers, makespan),
+        worker_class_stats=_compile_class_stats(results, workers, makespan_cycles),
     )
 
 

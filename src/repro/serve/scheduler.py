@@ -70,8 +70,10 @@ refuses to mis-report.
 from __future__ import annotations
 
 import asyncio
+import bisect
 import dataclasses
 import heapq
+import itertools
 import math
 import threading
 import time
@@ -115,6 +117,12 @@ DEFAULT_CLOCK_HZ = 1e9
 PLACEMENT_PRICED = "priced"
 PLACEMENT_RANDOM = "random"
 PLACEMENTS = (PLACEMENT_PRICED, PLACEMENT_RANDOM)
+
+#: Planner event kinds, in firing order at equal cycles: a requeue fires
+#: before a wake, so a worker waking at a failure instant sees the work
+#: the failure returned.
+_REQUEUE = 0
+_WAKE = 1
 
 _STACKED_PROBE: bool | None = None
 
@@ -239,46 +247,36 @@ class _ScheduledBatch:
     """One planned dispatch: which jobs run where, and when (simulated).
 
     ``job_cycles`` are the healthy tile-exact service cycles (what the
-    executed :class:`RunResult` reports and the drift assertion pins);
-    ``service_cycles`` are the same durations after any slowdown fault in
-    effect at dispatch.  When a fault plan cuts the batch,
-    ``completed_count`` marks the executed prefix (the jobs whose
-    stretched service fits before ``fail_cycle``) — the suffix never runs
-    and is requeued by the planner.  A preemption cut reuses the same
-    fields (``fail_cycle`` is the instant the executed prefix ends and
-    the worker frees) with ``preempted=True``, so reporting can tell a
-    policy cut from a fault.
+    executed :class:`RunResult` reports and the drift assertion pins).
+    ``bounds`` holds each member's start cycle, then the cycle the batch
+    would finish absent a cut: member ``i`` runs ``[bounds[i],
+    bounds[i + 1])``, durations stretched by any slowdown fault in effect
+    at dispatch.  When a fault plan cuts the batch, ``completed_count``
+    marks the executed prefix (the jobs whose stretched service fits
+    before ``fail_cycle``) — the suffix never runs and is requeued by the
+    planner.  A preemption cut reuses the same fields (``fail_cycle`` is
+    the instant the executed prefix ends and the worker frees) with
+    ``preempted=True``, so reporting can tell a policy cut from a fault.
     """
 
     batch_id: int
     worker_id: int
-    start_cycle: int
     entries: tuple[QueuedJob, ...]
     job_cycles: tuple[int, ...]
-    service_cycles: tuple[int, ...] = ()
-    completed_count: int = -1
-    fail_cycle: int | None = None
-    preempted: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.service_cycles:
-            object.__setattr__(self, "service_cycles", self.job_cycles)
-        if self.completed_count < 0:
-            object.__setattr__(self, "completed_count", len(self.entries))
+    bounds: tuple[int, ...]
+    completed_count: int
+    fail_cycle: int | None
+    preempted: bool
 
     @property
-    def total_cycles(self) -> int:
-        return sum(self.job_cycles)
-
-    @property
-    def finish_cycle(self) -> int:
-        """When the batch would finish absent its fault (stretched)."""
-        return self.start_cycle + sum(self.service_cycles)
+    def start_cycle(self) -> int:
+        """When the worker starts the batch's first member."""
+        return self.bounds[0]
 
     @property
     def end_cycle(self) -> int:
         """When the worker actually stops working on this batch."""
-        return self.fail_cycle if self.fail_cycle is not None else self.finish_cycle
+        return self.fail_cycle if self.fail_cycle is not None else self.bounds[-1]
 
     @property
     def executed(self) -> tuple[QueuedJob, ...]:
@@ -292,7 +290,7 @@ class _ScheduledBatch:
         Once the simulated clock passes this instant every member has
         started, so there is no unexecuted suffix left to preempt.
         """
-        return self.start_cycle + sum(self.service_cycles[:-1])
+        return self.bounds[-2]
 
 
 class _OnlinePlanner:
@@ -314,13 +312,20 @@ class _OnlinePlanner:
     ``_free_at``.  Stale wake events are invalidated lazily via the
     ``_wake`` map.
 
-    Under a fault plan the planner additionally carries *requeue events*:
+    Under a fault plan the same event heap also carries *requeue events*:
     a batch cut by a worker fault returns its unexecuted jobs to the fair
-    queue at the failure cycle (interleaved with wakes in event order), a
+    queue at the failure cycle (ahead of wakes at that cycle), a
     permanently dead worker leaves the idle/wake cycle for good, and a
     transient outage parks its worker until the outage window ends.  All
     of it stays on the simulated clock, so faulty runs are exactly as
     deterministic as healthy ones.
+
+    A batch is *sealed* once no future planning event can cut it: at
+    dispatch when preemption is off or a fault cut it, at a preemption
+    cut, and otherwise once the planning horizon passes its last member's
+    start (every member has begun executing by then).  Numerics launch
+    and the batch's ``batch.execute`` span wait for the seal, so a
+    preemption never races an execution.
     """
 
     def __init__(self, scheduler: "AsyncGemmScheduler") -> None:
@@ -332,19 +337,8 @@ class _OnlinePlanner:
             scheduler.budgets,
             scheduler.admission_policy,
         )
-        self.queue = WeightedFairQueue(
-            scheduler.weights,
-            ordering=scheduler.ordering,
-            slo_classes=scheduler.slo_classes,
-        )
+        self.queue = WeightedFairQueue(scheduler.weights, ordering=scheduler.ordering)
         self.batches: list[_ScheduledBatch] = []
-        # A batch is *sealed* once no future planning event can cut it:
-        # with preemption off that is at creation; otherwise once it was
-        # fault- or preempt-cut, or the planning horizon passed its last
-        # member's start (every member has begun executing by then).
-        # Numerics launch and the batch's ``batch.execute`` span wait for
-        # the seal, so a preemption never races an execution.
-        self.sealed: list[bool] = []
         self._unsealed: list[int] = []
         # Batches sealed since the stream last launched numerics; the
         # stream swaps this list out after every offer, so a launch costs
@@ -357,12 +351,14 @@ class _OnlinePlanner:
         self.finished = False
         self.injector = scheduler.fault_injector
         self._free_at = [0] * fleet_size
-        self._heap: list[tuple[int, int]] = []
+        # Wakes are (cycle, _WAKE, worker_id, None); requeues are (cycle,
+        # _REQUEUE, seq, entry), seq keeping equal-cycle requeues in push
+        # order.
+        self._events: list[tuple[int, int, int, QueuedJob | None]] = []
+        self._seq = itertools.count()
         self._wake: dict[int, int] = {}
         self._idle = set(range(fleet_size))
         self._window_wait: set[int] = set()
-        self._requeues: list[tuple[int, int, QueuedJob]] = []
-        self._requeue_seq = 0
         # Only the "random" placement baseline draws from this (seed 0);
         # the priced policy is deterministic without it.
         self._rng = np.random.default_rng(0)
@@ -374,38 +370,23 @@ class _OnlinePlanner:
     def _schedule_wake(self, worker_id: int, cycle: int) -> None:
         self._idle.discard(worker_id)
         self._wake[worker_id] = cycle
-        heapq.heappush(self._heap, (cycle, worker_id))
+        heapq.heappush(self._events, (cycle, _WAKE, worker_id, None))
 
-    def _advance(self, limit: int | None) -> None:
-        """Fire wake and requeue events strictly before ``limit`` (all when None).
+    def _advance(self, limit: float) -> None:
+        """Fire wake and requeue events strictly before ``limit``.
 
         Strictly before: a worker waking at exactly an arrival instant must
         see that arrival queued first, which happens right after this call.
-        Requeue events at a cycle fire before wakes at the same cycle, so a
-        worker waking at a failure instant sees the returned work.
         """
-        while True:
-            wake_cycle = self._heap[0][0] if self._heap else None
-            requeue_cycle = self._requeues[0][0] if self._requeues else None
-            if requeue_cycle is not None and (
-                wake_cycle is None or requeue_cycle <= wake_cycle
-            ):
-                if limit is not None and requeue_cycle >= limit:
-                    return
-                cycle, _, entry = heapq.heappop(self._requeues)
+        events = self._events
+        while events and events[0][0] < limit:
+            cycle, _, worker_id, entry = heapq.heappop(events)
+            if entry is not None:
                 self._requeue(entry, cycle)
-                continue
-            if wake_cycle is None:
-                return
-            cycle, worker_id = self._heap[0]
-            if limit is not None and cycle >= limit:
-                return
-            heapq.heappop(self._heap)
-            if self._wake.get(worker_id) != cycle:
-                continue  # superseded by a later (or earlier) reschedule
-            del self._wake[worker_id]
-            self._window_wait.discard(worker_id)
-            self._on_wake(worker_id, cycle)
+            elif self._wake.get(worker_id) == cycle:  # else superseded
+                del self._wake[worker_id]
+                self._window_wait.discard(worker_id)
+                self._on_wake(worker_id, cycle)
 
     def _terminal_entry(
         self, entry: QueuedJob, status: str, cycle: int, attempts: int
@@ -423,7 +404,7 @@ class _OnlinePlanner:
             deprioritized=entry.deprioritized,
             attempts=attempts,
             preemptions=entry.preemptions,
-            slo=self._s.tenant_slo(job.tenant),
+            slo=entry.slo,
             resolved_cycle=cycle,
         )
         self.terminal.append(result)
@@ -492,9 +473,6 @@ class _OnlinePlanner:
         The ``batch.execute`` span waits for the seal, so its duration and
         completed count reflect any preemption cut.
         """
-        if self.sealed[index]:
-            return
-        self.sealed[index] = True
         self.newly_sealed.append(index)
         if self.tracer is not None:
             batch = self.batches[index]
@@ -513,50 +491,40 @@ class _OnlinePlanner:
                 faulted=batch.fail_cycle is not None and not batch.preempted,
             )
 
-    def _seal_ready(self) -> None:
-        """Seal every batch the planning horizon has made uncuttable.
+    def _seal_ready(self, horizon: float) -> None:
+        """Seal every unsealed batch whose last member starts before ``horizon``.
 
         Preemption decisions only happen while offering a job, at cycles
         ``>= horizon``; once a batch's last member has started before the
         horizon there is no unstarted suffix any future offer could cut,
         so its numerics may launch and its trace span is final.
+        ``finish()`` passes an infinite horizon: no offer follows it.
         """
         still: list[int] = []
         for index in self._unsealed:
-            batch = self.batches[index]
-            if batch.fail_cycle is not None or batch.last_start_cycle < self.horizon:
+            if self.batches[index].last_start_cycle < horizon:
                 self._seal(index)
             else:
                 still.append(index)
         self._unsealed = still
 
-    def _seal_all(self) -> None:
-        """Seal every remaining batch (stream over: no more offers can cut)."""
-        for index in self._unsealed:
-            self._seal(index)
-        self._unsealed = []
-
     def _maybe_preempt(self, entry: QueuedJob, cycle: int) -> None:
         """Cut a not-yet-executed batch suffix for a tight arrival.
 
-        Fires only when preemption is enabled, ``entry`` is a hinted
-        latency-target job, and *no* worker — free or busy — can meet its
-        deadline as things stand.  The victim is the unsealed batch whose
-        cut frees a deadline-meeting worker soonest, provided every
-        displaced member has strictly looser laxity and preemption
+        Fires only when preemption is enabled, ``entry`` is urgent
+        (:attr:`QueuedJob.urgent`), and *no* worker — free or busy — can
+        meet its deadline as things stand.  The victim is the unsealed
+        batch whose cut frees a deadline-meeting worker soonest, provided
+        every displaced member has strictly looser laxity and preemption
         headroom; displaced members requeue at this cycle with
         ``attempts`` unchanged.  Executed (started) members always stay.
         """
         scheduler = self._s
-        if scheduler.max_preemptions < 1:
+        if scheduler.max_preemptions < 1 or not entry.urgent:
             return
         deadline = entry.deadline_cycle
-        if (
-            deadline is None
-            or entry.deprioritized
-            or scheduler.tenant_slo(entry.job.tenant) != SLO_LATENCY_TARGET
-        ):
-            return
+        urgency = entry.laxity(cycle)
+        assert deadline is not None and urgency is not None  # urgent: hinted
         shape = entry.job.shape
         for worker_id in range(len(scheduler.fleet)):
             available = self._available_at(worker_id, cycle)
@@ -564,22 +532,16 @@ class _OnlinePlanner:
                 continue
             if available + scheduler.placement_cost(shape, worker_id) <= deadline:
                 return  # someone meets the deadline without a cut
-        urgency = entry.laxity(cycle)
-        assert urgency is not None  # hinted, checked above
         best: tuple[tuple[int, int], int, int] | None = None
         for index in self._unsealed:
             batch = self.batches[index]
-            if batch.fail_cycle is not None:
+            # Members that start at or after ``cycle`` form the cuttable
+            # suffix; the ones already running stay.
+            size = len(batch.entries)
+            completed = bisect.bisect_left(batch.bounds, cycle, 0, size)
+            if completed == size:
                 continue
-            completed = 0
-            cut_cycle = batch.start_cycle
-            for duration in batch.service_cycles:
-                if cut_cycle >= cycle:
-                    break  # this member has not started: cuttable suffix
-                completed += 1
-                cut_cycle += duration
-            if completed == len(batch.entries):
-                continue
+            cut_cycle = batch.bounds[completed]
             displaced = batch.entries[completed:]
             if any(
                 d.preemptions >= scheduler.max_preemptions for d in displaced
@@ -597,7 +559,7 @@ class _OnlinePlanner:
             return
         _, index, completed = best
         batch = self.batches[index]
-        cut_cycle = batch.start_cycle + sum(batch.service_cycles[:completed])
+        cut_cycle = batch.bounds[completed]
         displaced = batch.entries[completed:]
         self.batches[index] = dataclasses.replace(
             batch,
@@ -632,6 +594,7 @@ class _OnlinePlanner:
                 )
         self._free_at[batch.worker_id] = cut_cycle
         self._schedule_wake(batch.worker_id, cut_cycle)
+        self._unsealed.remove(index)
         self._seal(index)
         for d in displaced:
             self._requeue(
@@ -655,7 +618,7 @@ class _OnlinePlanner:
         puts beyond preemption's reach.
         """
         self._offer(job)
-        self._seal_ready()
+        self._seal_ready(self.horizon)
 
     def _offer(self, job: AnyJob) -> None:
         if self.finished:
@@ -683,28 +646,16 @@ class _OnlinePlanner:
                 admitted=decision.admitted,
                 deprioritized=decision.deprioritized,
             )
-        if not decision.admitted:
-            result = JobResult(
-                job_id=job.job_id,
-                tenant=job.tenant,
-                name=job.name,
-                status=STATUS_REJECTED,
-                priced_cycles=decision.priced_cycles,
-                arrival_cycle=job.arrival_cycle,
-                deadline_hint_cycles=job.deadline_hint_cycles,
-                slo=scheduler.tenant_slo(job.tenant),
-                resolved_cycle=entry_cycle,
-            )
-            self.terminal.append(result)
-            if self.tracer is not None:
-                self.tracer.emit(result.trace_event())
-            return
         entry = QueuedJob(
             job,
             decision.priced_cycles,
             decision.deprioritized,
             enqueued_cycle=entry_cycle,
+            slo=scheduler.slo_classes.get(job.tenant, SLO_BEST_EFFORT),
         )
+        if not decision.admitted:
+            self._terminal_entry(entry, STATUS_REJECTED, entry_cycle, 0)
+            return
         # A deadline that is already unmeetable at arrival expires at the
         # door — the fleet never spends cycles on it.
         if scheduler.enforce_deadlines and entry.lapsed(entry_cycle):
@@ -714,29 +665,22 @@ class _OnlinePlanner:
         # backlog past the threshold, best-effort work is shed first — the
         # incoming job itself if it is best-effort, else the oldest queued
         # best-effort entries make room for the latency-target arrival.
+        limit = scheduler.shed_cycles
         if (
-            scheduler.shed_cycles is not None
-            and self.queue.total_priced_cycles() + entry.priced_cycles
-            > scheduler.shed_cycles
+            limit is not None
+            and entry.slo != SLO_LATENCY_TARGET
+            and self.queue.total_priced_cycles() + entry.priced_cycles > limit
         ):
-            if scheduler.tenant_slo(job.tenant) != SLO_LATENCY_TARGET:
-                self._terminal_entry(entry, STATUS_SHED, entry_cycle, 0)
-                return
-            self._push(entry)
-            while self.queue.total_priced_cycles() > scheduler.shed_cycles:
-                victim = self.queue.pop_oldest(
-                    lambda queued: scheduler.tenant_slo(queued.job.tenant)
-                    != SLO_LATENCY_TARGET
-                )
-                if victim is None:
-                    break
-                self._terminal_entry(
-                    victim, STATUS_SHED, entry_cycle, victim.attempts
-                )
-            self._notify_work(entry_cycle, job.shape)
-            self._maybe_preempt(entry, entry_cycle)
+            self._terminal_entry(entry, STATUS_SHED, entry_cycle, 0)
             return
         self._push(entry)
+        while limit is not None and self.queue.total_priced_cycles() > limit:
+            victim = self.queue.pop_oldest(
+                lambda queued: queued.slo != SLO_LATENCY_TARGET
+            )
+            if victim is None:
+                break
+            self._terminal_entry(victim, STATUS_SHED, entry_cycle, victim.attempts)
         # Work exists again: idle workers become dispatch candidates the
         # moment this job is visible.
         self._notify_work(entry_cycle, job.shape)
@@ -753,19 +697,18 @@ class _OnlinePlanner:
         if self.finished:
             return False
         entry = self.queue.pop_job(job_id)
+        cycle = self.horizon
         if entry is None:
             # The job may still be waiting in a pending requeue event.
-            for index, (cycle, seq, queued) in enumerate(self._requeues):
-                if queued.job.job_id == job_id:
-                    self._requeues.pop(index)
-                    heapq.heapify(self._requeues)
-                    self._terminal_entry(
-                        queued, STATUS_CANCELLED, max(self.horizon, cycle),
-                        queued.attempts,
-                    )
-                    return True
-            return False
-        self._terminal_entry(entry, STATUS_CANCELLED, self.horizon, entry.attempts)
+            for index, (at, _, _, queued) in enumerate(self._events):
+                if queued is not None and queued.job.job_id == job_id:
+                    self._events.pop(index)
+                    heapq.heapify(self._events)
+                    entry, cycle = queued, max(self.horizon, at)
+                    break
+            else:
+                return False
+        self._terminal_entry(entry, STATUS_CANCELLED, cycle, entry.attempts)
         return True
 
     def finish(self) -> tuple[list[_ScheduledBatch], list[JobResult]]:
@@ -778,10 +721,8 @@ class _OnlinePlanner:
         """
         if not self.finished:
             self.finished = True
-            self._advance(None)
-            # No more offers can arrive, so no future event can cut any
-            # still-open batch: seal them all and emit their spans.
-            self._seal_all()
+            self._advance(math.inf)
+            self._seal_ready(math.inf)
             for entry in self.queue.remove_matching(lambda entry: True):
                 self._terminal_entry(
                     entry, STATUS_FAILED, self.horizon, entry.attempts
@@ -873,13 +814,14 @@ class _OnlinePlanner:
         None)`` means the whole fleet is dead.  Under the ``"random"``
         baseline the batch lands on a uniformly drawn live worker instead.
 
-        Under a deadline ordering, a hinted latency-target head places by
-        *laxity* instead: among free workers that meet its deadline, the
-        tightest fit wins (least slack after the priced finish), keeping
-        the faster classes available for queued work with less room — and
-        when only a busy worker can meet the deadline, the head waits for
-        it rather than starting hopelessly late on a free one.  With no
-        feasible host at all it falls back to the earliest-finish policy.
+        Under a deadline ordering, an urgent head
+        (:attr:`QueuedJob.urgent`) places by *laxity* instead: among free
+        workers that meet its deadline, the tightest fit wins (least slack
+        after the priced finish), keeping the faster classes available for
+        queued work with less room — and when only a busy worker can meet
+        the deadline, the head waits for it rather than starting hopelessly
+        late on a free one.  With no feasible host at all it falls back to
+        the earliest-finish policy.
         """
         scheduler = self._s
         shape = head.job.shape
@@ -890,10 +832,6 @@ class _OnlinePlanner:
             ]
             if not candidates:
                 return None, None
-            if len(candidates) == fleet_size:
-                # Bit-compatible with the fault-free baseline: same draw
-                # stream as indexing the whole fleet directly.
-                return int(self._rng.integers(fleet_size)), None
             return candidates[int(self._rng.integers(len(candidates)))], None
         costs = [
             scheduler.placement_cost(shape, worker_id)
@@ -911,13 +849,9 @@ class _OnlinePlanner:
                 busy.append((available + costs[v], available, v))
         if not free and not busy:
             return None, None
-        deadline = head.deadline_cycle
-        if (
-            scheduler.ordering != ORDERING_FAIR
-            and deadline is not None
-            and not head.deprioritized
-            and scheduler.tenant_slo(head.job.tenant) == SLO_LATENCY_TARGET
-        ):
+        if scheduler.ordering != ORDERING_FAIR and head.urgent:
+            deadline = head.deadline_cycle
+            assert deadline is not None  # urgent: hinted
             feasible_free = [v for v in free if cycle + costs[v] <= deadline]
             if feasible_free:
                 return (
@@ -947,43 +881,18 @@ class _OnlinePlanner:
                 return None, frees_at
         return best_free, None
 
-    def _drop_unmeetable(
-        self,
-        entries: tuple[QueuedJob, ...],
-        target: int,
-        start: int,
-        cycle: int,
-    ) -> tuple[QueuedJob, ...]:
-        """Expire dequeued members whose projected in-batch finish is late.
-
-        Queue-time laxity checks price a job starting *now* on its best
-        class; by dispatch the hosting class, batch position and any
-        slowdown fault in effect are known, so each member's finish is
-        re-projected and a member that would complete past its deadline
-        expires instead of occupying the worker — a completed job never
-        finishes late under ``enforce_deadlines``.
-        """
-        scheduler = self._s
-        kept: list[QueuedJob] = []
-        elapsed = start
-        for entry in entries:
-            duration = self.injector.stretch(
-                target, start, scheduler.planned_job_cycles(entry.job, target)
-            )
-            deadline = entry.deadline_cycle
-            if deadline is not None and elapsed + duration > deadline:
-                self._terminal_entry(entry, STATUS_EXPIRED, cycle, entry.attempts)
-                continue
-            kept.append(entry)
-            elapsed += duration
-        return tuple(kept)
-
     def _dispatch(self, target: int, cycle: int) -> bool:
         """Dequeue the head batch onto ``target``; False if nothing ran.
 
-        A False return means every dequeued member expired at dispatch
-        (``enforce_deadlines`` re-projection) — the worker stays free and
-        the caller should retry against the shrunken queue.
+        Each member's start and finish on ``target`` are computed once,
+        here, with any slowdown fault in effect at the batch start.  Under
+        ``enforce_deadlines`` a member whose in-batch finish would pass its
+        deadline expires instead of occupying the worker: queue-time
+        laxity priced a start *now* on the best class, while here the
+        hosting class, batch position and slowdown are known, so a
+        completed job never finishes late.  A False return means every
+        dequeued member expired that way — the worker stays free and the
+        caller should retry against the shrunken queue.
         """
         scheduler = self._s
         # Adaptive batch bound: a batch occupies its worker for the sum of
@@ -992,51 +901,49 @@ class _OnlinePlanner:
         # each batch at one fair slice (1/fleet) of the queued work; deep
         # backlogs still batch to max_batch.
         budget = -(-self.queue.total_priced_cycles() // len(scheduler.fleet))
-        entries = tuple(
-            self.queue.next_batch(scheduler.max_batch, cycle_budget=budget, now=cycle)
+        dequeued = self.queue.next_batch(
+            scheduler.max_batch, cycle_budget=budget, now=cycle
         )
         start = self._available_at(target, cycle)
         assert start is not None, "placement never selects a dead worker"
-        if scheduler.enforce_deadlines:
-            entries = self._drop_unmeetable(entries, target, start, cycle)
-            if not entries:
-                return False
-        job_cycles = tuple(
-            scheduler.planned_job_cycles(entry.job, target) for entry in entries
-        )
-        service_cycles = tuple(
-            self.injector.stretch(target, start, cycles) for cycles in job_cycles
-        )
+        entries: list[QueuedJob] = []
+        job_cycles: list[int] = []
+        bounds = [start]
+        for entry in dequeued:
+            planned = scheduler.planned_job_cycles(entry.job, target)
+            finish = bounds[-1] + self.injector.stretch(target, start, planned)
+            deadline = entry.deadline_cycle
+            late = deadline is not None and finish > deadline
+            if scheduler.enforce_deadlines and late:
+                self._terminal_entry(entry, STATUS_EXPIRED, cycle, entry.attempts)
+                continue
+            entries.append(entry)
+            job_cycles.append(planned)
+            bounds.append(finish)
+        if not entries:
+            return False
         failure = self.injector.next_failure(target, start)
-        finish = start + sum(service_cycles)
         fail_cycle: int | None = None
         resume: int | None = None
         completed = len(entries)
-        if failure is not None and failure.cycle < finish:
+        if failure is not None and failure.cycle < bounds[-1]:
             # The fault cuts the batch: jobs whose stretched service fits
             # entirely before the failure instant complete; the suffix is
             # lost and requeues (or fails out) at the failure cycle.
             fail_cycle = failure.cycle
             resume = failure.resume_cycle
-            completed = 0
-            elapsed = start
-            for duration in service_cycles:
-                if elapsed + duration > fail_cycle:
-                    break
-                completed += 1
-                elapsed += duration
+            completed = bisect.bisect_right(bounds, fail_cycle, 1) - 1
         batch = _ScheduledBatch(
             batch_id=len(self.batches),
             worker_id=target,
-            start_cycle=start,
-            entries=entries,
-            job_cycles=job_cycles,
-            service_cycles=service_cycles,
+            entries=tuple(entries),
+            job_cycles=tuple(job_cycles),
+            bounds=tuple(bounds),
             completed_count=completed,
             fail_cycle=fail_cycle,
+            preempted=False,
         )
         self.batches.append(batch)
-        self.sealed.append(False)
         # Seal immediately when nothing can ever cut this batch (emitting
         # its span in place); otherwise park it until the horizon passes
         # its last member's start.
@@ -1052,35 +959,30 @@ class _OnlinePlanner:
         if tracer is not None:
             tracer.counter("queue.depth", cycle, depth=len(self.queue))
         if fail_cycle is None:
-            self._free_at[target] = finish
-            self._schedule_wake(target, finish)
+            self._free_at[target] = bounds[-1]
+            self._schedule_wake(target, bounds[-1])
             return True
         for entry in entries[completed:]:
             attempts = entry.attempts + 1
             if attempts > scheduler.max_retries:
                 self._terminal_entry(entry, STATUS_FAILED, fail_cycle, attempts)
-            else:
-                if tracer is not None:
-                    tracer.instant(
-                        "job.requeued",
-                        fail_cycle,
-                        job_id=entry.job.job_id,
-                        tenant=entry.job.tenant,
-                        attempts=attempts,
-                        batch_id=batch.batch_id,
-                        worker_id=target,
-                    )
-                self._requeue_seq += 1
-                heapq.heappush(
-                    self._requeues,
-                    (
-                        fail_cycle,
-                        self._requeue_seq,
-                        dataclasses.replace(
-                            entry, attempts=attempts, enqueued_cycle=fail_cycle
-                        ),
-                    ),
+                continue
+            if tracer is not None:
+                tracer.instant(
+                    "job.requeued",
+                    fail_cycle,
+                    job_id=entry.job.job_id,
+                    tenant=entry.job.tenant,
+                    attempts=attempts,
+                    batch_id=batch.batch_id,
+                    worker_id=target,
                 )
+            retry = dataclasses.replace(
+                entry, attempts=attempts, enqueued_cycle=fail_cycle
+            )
+            heapq.heappush(
+                self._events, (fail_cycle, _REQUEUE, next(self._seq), retry)
+            )
         if resume is None:
             # Permanent death: the worker leaves the wake cycle for good
             # and _place never considers it again.
@@ -1199,8 +1101,11 @@ class AsyncGemmScheduler:
         (default) disables shedding.
     slo_classes:
         Per-tenant SLO class mapping (``"latency-target"`` or
-        ``"best-effort"``); absent tenants are best-effort.  Only the
-        shedding policy reads it.
+        ``"best-effort"``); absent tenants are best-effort.  Each admitted
+        job's class is looked up once and carried on its queue entry
+        (:attr:`repro.serve.queues.QueuedJob.slo`): the urgency rule
+        (:attr:`~repro.serve.queues.QueuedJob.urgent`), shedding and the
+        job's result read it there.
     tracer:
         Optional :class:`repro.obs.tracer.Tracer`.  When attached, the
         planner records each scheduling decision in it as one
@@ -1338,10 +1243,6 @@ class AsyncGemmScheduler:
     def worker_class(self, worker_id: int) -> str:
         """The class label of one fleet member."""
         return self.worker_classes[self._worker_class_ids[worker_id]]
-
-    def tenant_slo(self, tenant: str) -> str:
-        """The tenant's SLO class (best-effort unless configured otherwise)."""
-        return self.slo_classes.get(tenant, SLO_BEST_EFFORT)
 
     # -- pricing ----------------------------------------------------------
 
@@ -1594,10 +1495,12 @@ class AsyncGemmScheduler:
         tracer = self.tracer
         results = list(terminal)
         for batch, runs in zip(batches, batch_runs):
-            cursor = batch.start_cycle
             worker_class = self.worker_class(batch.worker_id)
-            for entry, planned, stretched, run in zip(
-                batch.executed, batch.job_cycles, batch.service_cycles, runs
+            # Start and finish come from the slowdown-stretched bounds; the
+            # RunResult keeps the healthy tile-exact cycles (a straggler
+            # delays work, it does not change what ran).
+            for entry, planned, start, finish, run in zip(
+                batch.executed, batch.job_cycles, batch.bounds, batch.bounds[1:], runs
             ):
                 if run.cycles != planned:
                     raise RuntimeError(
@@ -1605,11 +1508,6 @@ class AsyncGemmScheduler:
                         f"{entry.job.job_id!r}: planned {planned} cycles but "
                         f"execution reported {run.cycles}"
                     )
-                start = cursor
-                # Occupancy advances by the slowdown-stretched service;
-                # the RunResult keeps the healthy tile-exact cycles (a
-                # straggler delays work, it does not change what ran).
-                cursor += stretched
                 job_result = JobResult(
                     job_id=entry.job.job_id,
                     tenant=entry.job.tenant,
@@ -1619,7 +1517,7 @@ class AsyncGemmScheduler:
                     arrival_cycle=entry.job.arrival_cycle,
                     result=run,
                     start_cycle=start,
-                    finish_cycle=cursor,
+                    finish_cycle=finish,
                     worker_id=batch.worker_id,
                     worker_class=worker_class,
                     batch_id=batch.batch_id,
@@ -1628,7 +1526,7 @@ class AsyncGemmScheduler:
                     deprioritized=entry.deprioritized,
                     attempts=entry.attempts + 1,
                     preemptions=entry.preemptions,
-                    slo=self.tenant_slo(entry.job.tenant),
+                    slo=entry.slo,
                 )
                 results.append(job_result)
                 if tracer is not None:
@@ -1668,6 +1566,7 @@ class AsyncGemmScheduler:
             max_batch=self.max_batch,
             clock_hz=self.clock_hz,
             wall_seconds=wall_seconds,
+            makespan_cycles=makespan,
             fleet=self.fleet_description,
             batch_window_cycles=self.batch_window_cycles,
             placement=self.placement,

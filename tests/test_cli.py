@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import shlex
 
 import pytest
 
@@ -253,6 +254,12 @@ class TestCli:
                 ("serve --budget-cycles -1", "must be >= 0, got -1"),
                 ("conv --kernel 9 --height 4 --width 4 --padding 0",
                  "repro conv: convolution produces empty output"),
+                ('serve --fleet "" --tenants 1 --jobs-per-tenant 2',
+                 "empty fleet spec ''"),
+                ('serve --faults "" --tenants 1 --jobs-per-tenant 2',
+                 "empty fault spec"),
+                ('serve --trace "" --tenants 1 --jobs-per-tenant 2 --max-dim 8',
+                 "cannot write --trace file"),
             ]
         ],
     )
@@ -260,7 +267,7 @@ class TestCli:
         self, capsys, argv, message
     ):
         try:
-            code = main(argv.split())  # a command's own checks return 2
+            code = main(shlex.split(argv))  # a command's own checks return 2
         except SystemExit as exit_info:  # argparse's checks exit 2
             code = exit_info.code
         assert code == 2

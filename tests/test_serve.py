@@ -36,6 +36,8 @@ from repro.engine import (
 from repro.obs import Tracer
 from repro.serve import (
     POLICY_REJECT,
+    SLO_BEST_EFFORT,
+    SLO_LATENCY_TARGET,
     AdmissionController,
     AsyncGemmScheduler,
     ConvJob,
@@ -300,6 +302,33 @@ class TestWeightedFairQueue:
     def test_empty_queue_raises(self):
         with pytest.raises(IndexError):
             WeightedFairQueue().next_batch(1)
+
+    @pytest.mark.parametrize("deprioritized", [False, True])
+    @pytest.mark.parametrize("hint", [None, 500])
+    @pytest.mark.parametrize("slo", [SLO_BEST_EFFORT, SLO_LATENCY_TARGET])
+    def test_one_urgency_rule_decides_deadline_service(
+        self, rng, slo, hint, deprioritized
+    ):
+        """Only a hinted, in-budget latency-target entry is urgent, and only
+        an urgent entry jumps the fair order, and only under a deadline
+        ordering."""
+        probe = QueuedJob(
+            _job("probe", "p", 4, 4, 4, rng, deadline_hint_cycles=hint),
+            100,
+            deprioritized=deprioritized,
+            slo=slo,
+        )
+        urgent = slo == SLO_LATENCY_TARGET and hint is not None and not deprioritized
+        assert probe.urgent is urgent
+        for ordering in ("fair", "edf"):
+            queue = WeightedFairQueue(ordering=ordering)
+            bulk = self._entry(rng, "bulk")  # the fair order's head
+            queue.push(bulk)
+            queue.push(probe)
+            pooled = urgent and ordering == "edf"
+            assert queue._deadline_pool == ([probe] if pooled else [])
+            head = queue.next_batch(1)[0]
+            assert head is (probe if pooled else bulk)
 
 
 def _fleet(cls, config, count, **kwargs):

@@ -30,6 +30,9 @@ hold for *every* configuration:
    one terminal record, ``job.<status>``; a completed job's record is an
    ``X`` span from its start to its finish on its worker's track, and
    every event name belongs to the trace vocabulary.
+9. **One makespan** — the report's ``makespan_cycles`` is the end of the
+   last ``batch.execute`` span (0 with none), fault- and preemption-cut
+   batches included, so throughput and utilizations share it.
 
 Cases are addressed by ``(seed, case)``; the harness appends each case's
 reproduction line to a seed log (``SERVE_INVARIANTS_LOG``, default
@@ -217,6 +220,16 @@ def _check_summary_equals_report(tracer: Tracer, report) -> None:
     }
 
 
+def _check_makespan_is_last_batch_end(tracer: Tracer, report) -> None:
+    last_end = max(
+        (e.cycle + e.duration for e in tracer.events if e.name == "batch.execute"),
+        default=0,
+    )
+    assert report.makespan_cycles == last_end, (
+        f"makespan {report.makespan_cycles} != last batch end {last_end}"
+    )
+
+
 def _check_one_record_per_decision(
     scenario: ServeScenario, tracer: Tracer, report, results
 ) -> None:
@@ -265,6 +278,7 @@ def test_scheduler_invariants(seed, seed_log):
         _check_monotone_clock(tracer, results)
         _check_summary_equals_report(tracer, report)
         _check_one_record_per_decision(scenario, tracer, report, results)
+        _check_makespan_is_last_batch_end(tracer, report)
         observed["preemptions"] += sum(r.preemptions for r in results)
         observed["failed"] += sum(r.status == "failed" for r in results)
         observed["expired"] += sum(r.status == "expired" for r in results)
